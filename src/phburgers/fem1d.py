@@ -32,7 +32,8 @@ what makes the interior dynamics inert under zero boundary controls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -69,6 +70,8 @@ def _gauss_rule(n_points: int = 5) -> tuple[np.ndarray, np.ndarray]:
 _QP, _QW = _gauss_rule()
 _PHI = _reference_basis(_QP)          # (3, 5)
 _DPHI = _reference_basis_deriv(_QP)   # (3, 5)
+# (quadrature weight * phi_a) * phi_b at each Gauss point, shape (5, 9) over (q, 3a + b)
+_WEIGHTED_MASS_TERMS = ((_QW * _PHI)[:, None, :] * _PHI[None, :, :]).reshape(9, -1).T
 
 
 @dataclass(frozen=True)
@@ -77,13 +80,16 @@ class Mesh1D:
 
     ``nodes`` holds all vertex and midpoint coordinates in increasing
     order; ``interior_to_global[k]`` maps interior rank k = 0..N-1 to the
-    global node index of the k-th interior basis function.
+    global node index of the k-th interior basis function; ``cells`` holds
+    the read-only global node triplets (left, mid, right) per element,
+    shape (n_elems, 3).
     """
 
     n_elems: int
     h: float
     nodes: np.ndarray
     interior_to_global: np.ndarray
+    cells: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -93,11 +99,10 @@ class Mesh1D:
     def n_interior(self) -> int:
         return self.interior_to_global.size
 
-    @property
-    def cells(self) -> np.ndarray:
-        """Global node triplets (left, mid, right) per element, shape (n_elems, 3)."""
-        e = np.arange(self.n_elems)
-        return np.column_stack((2 * e, 2 * e + 1, 2 * e + 2))
+    @functools.cached_property
+    def _weighted_mass_pattern(self) -> _ScatterPattern:
+        """Fixed CSR pattern of the interior weighted mass, built on first use."""
+        return _scatter_pattern(self)
 
 
 def build_mesh(n_elems: int) -> Mesh1D:
@@ -105,11 +110,15 @@ def build_mesh(n_elems: int) -> Mesh1D:
     if n_elems < 1:
         raise ValueError(f"n_elems must be a positive integer, got {n_elems}")
     nodes = np.linspace(0.0, 1.0, 2 * n_elems + 1)
+    e = np.arange(n_elems)
+    cells = np.column_stack((2 * e, 2 * e + 1, 2 * e + 2))
+    cells.setflags(write=False)
     return Mesh1D(
         n_elems=n_elems,
         h=1.0 / n_elems,
         nodes=nodes,
         interior_to_global=np.arange(1, 2 * n_elems),
+        cells=cells,
     )
 
 
@@ -130,7 +139,9 @@ class FeOperators:
     set and carry the scaled point traces: sqrt(2) and -sqrt(2) at the end
     nodes for the convective ports, -1 and +1 for the dissipative ones.
     ``mass_full`` retains all boundary rows for partition-of-unity checks.
-    Everything is immutable after assembly and safe to share read-only.
+    Everything is immutable after assembly and safe to share read-only,
+    except ``newton_patterns``: the integrator fills it on first use with
+    the fixed sparsity pattern of its Newton matrix, one per mode.
     """
 
     mesh: Mesh1D
@@ -144,6 +155,7 @@ class FeOperators:
     b_visc_right: np.ndarray
     mass_banded: np.ndarray
     half_bandwidth: int = 2
+    newton_patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the banded Cholesky of the SPD mass matrix."""
@@ -282,21 +294,69 @@ def integrate(mesh: Mesh1D, values: np.ndarray) -> float:
     return float(np.einsum("eq,q->", values, _QW) * mesh.h)
 
 
+@dataclass(frozen=True)
+class _ScatterPattern:
+    """CSR pattern of an interior matrix assembled from 3x3 element blocks.
+
+    Entry k of the data array is ``local[first[k]]``, where ``local`` is
+    the flattened (n_elems, 9) array of element blocks; entries
+    ``shared`` (the vertex diagonals, the only entries two elements
+    share) add ``local[second]``.  A two-term sum does not depend on its
+    order, so the result is bitwise the COO-to-CSR sum of the blocks.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    first: np.ndarray
+    shared: np.ndarray
+    second: np.ndarray
+
+
+def _scatter_pattern(mesh: Mesh1D) -> _ScatterPattern:
+    """Pattern of the interior rows and columns of the element blocks' sum."""
+    n = mesh.n_interior
+    rank = np.full(mesh.n_nodes, -1)
+    rank[mesh.interior_to_global] = np.arange(n)
+    rows = rank[np.repeat(mesh.cells, 3, axis=1).ravel()]
+    cols = rank[np.tile(mesh.cells, (1, 3)).ravel()]
+    src = np.flatnonzero((rows >= 0) & (cols >= 0))
+    key = rows[src] * n + cols[src]
+    order = np.argsort(key, kind="stable")
+    src, key = src[order], key[order]
+    new = np.r_[True, key[1:] != key[:-1]]
+    key = key[new]
+    # let scipy pick the index dtype once, so no later matrix converts it
+    template = scipy.sparse.csr_matrix(
+        (np.zeros(key.size), key % n, np.searchsorted(key, np.arange(n + 1) * n)),
+        shape=(n, n))
+    arrays = (template.indptr, template.indices, src[new],
+              np.cumsum(new)[~new] - 1, src[~new])
+    for a in arrays:
+        a.setflags(write=False)
+    return _ScatterPattern(*arrays)
+
+
 def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr_matrix:
     """Interior weighted mass matrix W(w)[i, j] = int w_d phi_j phi_i dx.
 
     Linear in the weight; symmetric for any weight; positive definite only
-    when the weight function keeps a positive sign.
+    when the weight function keeps a positive sign.  Only the data array
+    is computed here; the pattern is built once per mesh.  The element
+    sums run over the quadrature points in increasing order from a zero
+    start, bitwise what numpy's einsum("q,aq,bq,eq->eab") gives: W(v) is
+    nearly singular in the wall zones, where the step controller's
+    decisions turn on the last bits of the factored matrices.
     """
     wq = quadrature_values(mesh, embed_interior(mesh, weight))
-    local = mesh.h * np.einsum("q,aq,bq,eq->eab", _QW, _PHI, _PHI, wq)
-    cells = mesh.cells
-    rows = np.repeat(cells, 3, axis=1).ravel()
-    cols = np.tile(cells, (1, 3)).ravel()
-    n = mesh.n_nodes
-    full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    idx = mesh.interior_to_global
-    return full[np.ix_(idx, idx)].tocsr()
+    local = np.zeros((mesh.n_elems, 9))
+    for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
+        local += terms * wq[:, q, None]
+    local = (mesh.h * local).ravel()
+    p = mesh._weighted_mass_pattern
+    data = local[p.first]
+    data[p.shared] += local[p.second]
+    n = mesh.n_interior
+    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(n, n))
 
 
 def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:

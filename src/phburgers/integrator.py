@@ -140,22 +140,61 @@ def cn_residual(ops: FeOperators, state_n: State, v_trial: np.ndarray, dt: float
     return ops.mass @ (trial.v - state_n.v) - 0.5 * dt * (g_t + g_n)
 
 
+def _newton_layout(m, d, r, rt, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
+    """Block rows of the Newton matrix from the module docstring."""
+    if not viscous:
+        return [[m, d], [minus_wv, m]]
+    return [[m, d, None, r],
+            [minus_wv, m, None, None],
+            [None, rt, m, None],
+            [wr, None, m_nu, wv]]
+
+
+def _newton_pattern(ops: FeOperators, W: scipy.sparse.csr_matrix, viscous: bool):
+    """CSC pattern of the Newton matrix and, per entry, its source.
+
+    Returns ``(indptr, indices, source)``: entry k of the matrix is entry
+    ``source[k]`` of the concatenated data arrays of the blocks, taken in
+    row-major order.  Built once per operator set and mode, by one
+    ``scipy.sparse.bmat`` call on the blocks with their data replaced by
+    running ids; ``W`` stands for any weighted mass, whose pattern is fixed.
+    """
+    pattern = ops.newton_patterns.get(viscous)
+    if pattern is None:
+        M, D, R = ops.mass, ops.convection, ops.gradient
+        rows = _newton_layout(M, D, R, R.T, W, W, M, W, viscous)
+        start = 1  # ids start at 1 so that none is a zero
+        for row in rows:
+            for j, block in enumerate(row):
+                if block is not None:
+                    row[j] = block.copy()
+                    row[j].data = np.arange(start, start + block.nnz, dtype=float)
+                    start += block.nnz
+        A = scipy.sparse.bmat(rows, format="csc")
+        pattern = (A.indptr, A.indices, A.data.astype(np.intp) - 1)
+        for a in pattern:
+            a.setflags(write=False)
+        ops.newton_patterns[viscous] = pattern
+    return pattern
+
+
 def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.csc_matrix:
-    """Sparse block system whose first row eliminates to dF/dv."""
-    M = ops.mass
-    D = ops.convection
-    R = ops.gradient
+    """Sparse block system whose first row eliminates to dF/dv.
+
+    Only the data array is computed here, scaled the way scipy scales a
+    sparse matrix by a scalar, so the result is bitwise the matrix that
+    ``scipy.sparse.bmat`` builds from the scaled blocks.
+    """
+    M, D, R = ops.mass.data, ops.convection.data, ops.gradient.data
     Wv = fem1d.assemble_weighted_mass(ops.mesh, trial.v)
-    if not trial.viscous:
-        return scipy.sparse.bmat(
-            [[M, -0.5 * dt * D],
-             [-Wv, M]], format="csc")
-    Wr = fem1d.assemble_weighted_mass(ops.mesh, trial.e_r)
-    return scipy.sparse.bmat(
-        [[M, -0.5 * dt * D, None, 0.5 * dt * R],
-         [-Wv, M, None, None],
-         [None, -R.T, M, None],
-         [Wr, None, -trial.nu * M, Wv]], format="csc")
+    Wr = fem1d.assemble_weighted_mass(ops.mesh, trial.e_r).data if trial.viscous else None
+    # R^T, a transposed view, shares R's data array
+    rows = _newton_layout(M, D * (-0.5 * dt), R * (0.5 * dt), -R, -Wv.data, Wr,
+                          M * (-trial.nu), Wv.data, trial.viscous)
+    data = np.concatenate([block for row in rows for block in row if block is not None])
+    indptr, indices, source = _newton_pattern(ops, Wv, trial.viscous)
+    n = indptr.size - 1
+    return scipy.sparse.csc_matrix((data[source], indices, indptr), shape=(n, n))
 
 
 def jacobian_apply(ops: FeOperators, state: State, dt: float, w: np.ndarray) -> np.ndarray:

@@ -107,13 +107,16 @@ def project_costate(ops: FeOperators, v: np.ndarray) -> np.ndarray:
 
 
 def weighted_mass_factor(ops: FeOperators, w: np.ndarray):
-    """Factor W(w) by sparse LU, failing loudly when it is singular.
+    """Factor W(w) by sparse LU, rejecting an exactly singular W or a tiny pivot.
 
-    Returns ``(W, lu)``.  A pivot of magnitude below
-    ``W_PIVOT_RTOL * max absolute row sum`` marks the weighted mass as
-    numerically singular (the weight function crosses zero in a way the
-    constitutive relation cannot absorb) and raises StepFailure for the
-    time-step controller to handle.
+    Returns ``(W, lu)``.  Raises StepFailure("singular_weighted_mass")
+    for the time-step controller to handle when SuperLU finds W exactly
+    singular or an LU pivot is smaller than
+    ``W_PIVOT_RTOL * max absolute row sum``.  This is a pivot test, not a
+    conditioning test, and it misses a W that is singular to rounding:
+    along the RK45 trajectory of the semi-discrete flow at (h=1e-2,
+    beta=1) it never fired, not even at the stall where the smallest
+    |eigenvalue| of W is about 1e-16 against a largest of 5.7e-3.
     """
     W = fem1d.assemble_weighted_mass(ops.mesh, w)
     row_scale = float(np.max(np.abs(W).sum(axis=1))) if W.nnz else 0.0
@@ -132,7 +135,7 @@ def solve_viscous_ports(
     """Dissipative port pair (f_r, e_r) for a given (v, e).
 
     Solves M f_r = R^T e, then W(v) e_r = nu M f_r.  Raises StepFailure
-    when W(v) is numerically singular.
+    when weighted_mass_factor rejects W(v).
     """
     if nu <= 0.0:
         raise ValueError(f"viscosity must be positive, got {nu}")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from conftest import FIELD_KINDS, assert_bitwise_equal, sample_field
 from phburgers import fem1d
 
 # Local 3x3 blocks on one element of width h, frozen from hand calculus
@@ -35,6 +37,7 @@ def test_mesh_layout():
     np.testing.assert_allclose(mesh.nodes, np.linspace(0.0, 1.0, 9))
     np.testing.assert_array_equal(mesh.cells[0], [0, 1, 2])
     np.testing.assert_array_equal(mesh.cells[-1], [6, 7, 8])
+    assert mesh.cells is mesh.cells and not mesh.cells.flags.writeable
 
 
 def test_mesh_for_width_rejects_non_divisor():
@@ -123,6 +126,32 @@ def test_weighted_mass_is_symmetric_trilinear_form():
     for a, b, c in [(u, w, z), (u, z, w), (w, u, z), (z, w, u)]:
         val = float(a @ (fem1d.assemble_weighted_mass(mesh, b) @ c))
         assert val == pytest.approx(ref, rel=1e-13)
+
+
+def einsum_weighted_mass(mesh, weight):
+    """Reference assembly: einsum element blocks, COO sum, np.ix_ interior cut."""
+    wq = fem1d.quadrature_values(mesh, fem1d.embed_interior(mesh, weight))
+    local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
+    cells = mesh.cells
+    rows = np.repeat(cells, 3, axis=1).ravel()
+    cols = np.tile(cells, (1, 3)).ravel()
+    n = mesh.n_nodes
+    full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    idx = mesh.interior_to_global
+    return full[np.ix_(idx, idx)].tocsr()
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
+def test_weighted_mass_is_bitwise_the_reference_assembly(n_elems, kind):
+    # SuperLU must factor the very same matrices: the wall-zone cells are
+    # decided by rounding, so any last-bit change moves their fingerprints
+    mesh = fem1d.build_mesh(n_elems)
+    rng = np.random.default_rng(n_elems)
+    for _ in range(3):
+        w = sample_field(kind, rng, mesh.n_interior)
+        assert_bitwise_equal(fem1d.assemble_weighted_mass(mesh, w),
+                             einsum_weighted_mass(mesh, w))
 
 
 def test_quadratic_load_matches_weighted_mass_identity():

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
+from conftest import FIELD_KINDS, assert_bitwise_equal, sample_field
 from phburgers import diagnostics, fem1d, integrator, phsystem
+from phburgers.phsystem import State
 
 
 def make_ops(n_elems):
@@ -133,6 +136,87 @@ def test_newton_runs_out_of_iterations():
     with pytest.raises(phsystem.StepFailure) as exc:
         integrator.newton_solve(ops, st, 0.05, cfg)
     assert exc.value.reason == "newton_divergence"
+
+
+# --------------------------------------------------------- _newton_matrix
+
+
+def coupled_residual(ops, state_n, dt, z):
+    """F(v, e, f, e_r) of the integrator's module docstring, from the operators."""
+    M, D, R = ops.mass, ops.convection, ops.gradient
+    if not state_n.viscous:
+        v, e = np.split(z, 2)
+        return np.concatenate([
+            M @ (v - state_n.v) - 0.5 * dt * (D @ e + D @ state_n.e),
+            M @ e - fem1d.assemble_quadratic_load(ops.mesh, v),
+        ])
+    v, e, f, r = np.split(z, 4)
+    g_n = D @ state_n.e - R @ state_n.e_r
+    return np.concatenate([
+        M @ (v - state_n.v) - 0.5 * dt * (D @ e - R @ r + g_n),
+        M @ e - fem1d.assemble_quadratic_load(ops.mesh, v),
+        M @ f - R.T @ e,
+        fem1d.assemble_weighted_mass(ops.mesh, v) @ r - state_n.nu * (M @ f),
+    ])
+
+
+def stacked_state(z, nu, t=0.0):
+    if nu > 0.0:
+        v, e, f, r = np.split(z, 4)
+    else:
+        (v, e), f, r = np.split(z, 2), np.empty(0), np.empty(0)
+    return State(t=t, v=v, e=e, f_r=f, e_r=r, nu=nu)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+def test_newton_matrix_taylor_remainder_is_second_order(nu, perturbed):
+    # F is polynomial in z, so |F(z + eps d) - F(z) - eps A d| = O(eps^2)
+    # exactly when A is its Jacobian; a wrong block leaves an O(eps) term
+    ops = make_ops(12)
+    state_n = pulse_state(ops, nu)
+    rng = np.random.default_rng(7)
+    z = np.concatenate([state_n.v, state_n.e, state_n.f_r, state_n.e_r])
+    if perturbed:
+        z = z + 0.1 * np.abs(z).max() * rng.standard_normal(z.size)
+    dt = 0.05
+    A = integrator._newton_matrix(ops, stacked_state(z, nu), dt)
+    d = rng.standard_normal(z.size)
+    F0 = coupled_residual(ops, state_n, dt, z)
+    eps = np.array([1e-1, 1e-2, 1e-3])
+    rem = [np.linalg.norm(coupled_residual(ops, state_n, dt, z + s * d) - F0 - s * (A @ d))
+           for s in eps]
+    slopes = np.diff(np.log(rem)) / np.diff(np.log(eps))
+    np.testing.assert_allclose(slopes, 2.0, atol=1e-3)
+
+
+def bmat_newton_matrix(ops, trial, dt):
+    """Reference Newton matrix: the scaled blocks stacked by scipy.sparse.bmat."""
+    M, D, R = ops.mass, ops.convection, ops.gradient
+    Wv = fem1d.assemble_weighted_mass(ops.mesh, trial.v)
+    if not trial.viscous:
+        return scipy.sparse.bmat([[M, -0.5 * dt * D], [-Wv, M]], format="csc")
+    Wr = fem1d.assemble_weighted_mass(ops.mesh, trial.e_r)
+    return scipy.sparse.bmat(
+        [[M, -0.5 * dt * D, None, 0.5 * dt * R],
+         [-Wv, M, None, None],
+         [None, -R.T, M, None],
+         [Wr, None, -trial.nu * M, Wv]], format="csc")
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
+def test_newton_matrix_is_bitwise_the_bmat_stack(n_elems, nu, kind):
+    ops = make_ops(n_elems)
+    rng = np.random.default_rng(n_elems)
+    n_fields = 4 if nu > 0.0 else 2
+    for dt in (0.0, 1e-3, 0.37):
+        z = np.concatenate([sample_field(kind, rng, ops.mesh.n_interior)
+                            for _ in range(n_fields)])
+        trial = stacked_state(z, nu)
+        assert_bitwise_equal(integrator._newton_matrix(ops, trial, dt),
+                             bmat_newton_matrix(ops, trial, dt))
 
 
 # ------------------------------------------------------ adaptive_advance
