@@ -19,10 +19,8 @@ from .fem1d import (
     mesh_for_width,
 )
 from .phsystem import (
-    PortValues,
     State,
     make_state,
-    outputs,
     project_costate,
     rhs,
     solve_viscous_ports,
@@ -60,10 +58,8 @@ __all__ = [
     "assemble_weighted_mass",
     "build_mesh",
     "mesh_for_width",
-    "PortValues",
     "State",
     "make_state",
-    "outputs",
     "project_costate",
     "rhs",
     "solve_viscous_ports",

@@ -154,6 +154,20 @@ def balance_variation(ledger: PowerLedger) -> float:
     return float(np.max(np.abs(bal)) / max(abs(ledger.initial_hamiltonian), 1e-300))
 
 
+def _slope(v0, v0_slope):
+    """``v0_slope`` if given, else the pulse's exact slope or a central difference of v0."""
+    if v0_slope is not None:
+        return v0_slope
+    if v0 is gaussian_pulse:
+        return gaussian_pulse_slope
+    eps = 1e-7
+
+    def fd_slope(x):
+        return (v0(np.asarray(x) + eps) - v0(np.asarray(x) - eps)) / (2.0 * eps)
+
+    return fd_slope
+
+
 def shock_formation_time(v0=gaussian_pulse, v0_slope=None) -> float:
     """First crossing time of characteristics, t* = -1 / min v0'.
 
@@ -161,15 +175,7 @@ def shock_formation_time(v0=gaussian_pulse, v0_slope=None) -> float:
     followed by a bounded local refinement.  Profiles with nowhere
     negative slope never shock; that raises NoShockError.
     """
-    if v0_slope is None:
-        if v0 is gaussian_pulse:
-            v0_slope = gaussian_pulse_slope
-        else:
-            eps = 1e-7
-
-            def v0_slope(x):
-                return (v0(np.asarray(x) + eps) - v0(np.asarray(x) - eps)) / (2.0 * eps)
-
+    v0_slope = _slope(v0, v0_slope)
     xs = np.linspace(0.0, 1.0, 2001)
     slopes = np.asarray(v0_slope(xs))
     k = int(np.argmin(slopes))
@@ -296,15 +302,7 @@ def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
     Returns arrays (x_s, v_l, v_r, dH_rate) sampled at ``t_values``,
     which must start at or after the shock time and increase.
     """
-    if v0_slope is None:
-        if v0 is gaussian_pulse:
-            v0_slope = gaussian_pulse_slope
-        else:
-            eps = 1e-7
-
-            def v0_slope(x):
-                return (v0(x + eps) - v0(x - eps)) / (2.0 * eps)
-
+    v0_slope = _slope(v0, v0_slope)
     t_star = shock_formation_time(v0, v0_slope)
     t_values = np.asarray(t_values, dtype=float)
     if t_values[0] < t_star - 1e-12:

@@ -23,11 +23,8 @@ relations,
 where ``w_d`` and ``v_d`` are the interior expansions of the coefficient
 vectors.  All integrals use a fixed 5-point Gauss-Legendre rule per
 element, exact for polynomials of degree <= 9; every integrand above has
-degree <= 6, so quadrature introduces no consistency error.
-
-Boundary coupling vectors realize the point traces at x = 0 and x = 1 over
-the full node set; their restrictions to interior indices vanish, which is
-what makes the interior dynamics inert under zero boundary controls.
+degree <= 6, so quadrature introduces no consistency error.  All four
+matrices share one fixed interior sparsity pattern, built once per mesh.
 """
 
 from __future__ import annotations
@@ -38,10 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-
-# Reference P2 basis on [0, 1]: left vertex, midpoint, right vertex.
-_SQRT2 = np.sqrt(2.0)
-
 
 def _reference_basis(xi: np.ndarray) -> np.ndarray:
     """Values of the three P2 shape functions at reference coordinates."""
@@ -100,8 +93,8 @@ class Mesh1D:
         return self.interior_to_global.size
 
     @functools.cached_property
-    def _weighted_mass_pattern(self) -> _ScatterPattern:
-        """Fixed CSR pattern of the interior weighted mass, built on first use."""
+    def _interior_pattern(self) -> _ScatterPattern:
+        """Fixed CSR pattern of every interior matrix (M, D, R, W), built on first use."""
         return _scatter_pattern(self)
 
 
@@ -122,39 +115,35 @@ def build_mesh(n_elems: int) -> Mesh1D:
     )
 
 
-def mesh_for_width(h: float) -> Mesh1D:
-    """Build the mesh whose element width is ``h``; 1/h must be integral."""
+def elements_for_width(h: float) -> int:
+    """Element count of the mesh of width ``h``; raises ValueError unless 1/h is integral."""
     n = round(1.0 / h)
     if n < 1 or abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"element width {h} does not divide the unit interval")
-    return build_mesh(n)
+    return n
+
+
+def mesh_for_width(h: float) -> Mesh1D:
+    """Build the mesh whose element width is ``h``; 1/h must be integral."""
+    return build_mesh(elements_for_width(h))
 
 
 @dataclass(frozen=True)
 class FeOperators:
-    """Assembled matrices and boundary vectors of the discrete structure.
+    """Assembled constant matrices of the discrete structure.
 
     ``mass``, ``convection`` (D) and ``gradient`` (R) act on interior
-    coefficient vectors.  The four boundary vectors live on the full node
-    set and carry the scaled point traces: sqrt(2) and -sqrt(2) at the end
-    nodes for the convective ports, -1 and +1 for the dissipative ones.
-    ``mass_full`` retains all boundary rows for partition-of-unity checks.
-    Everything is immutable after assembly and safe to share read-only,
-    except ``newton_patterns``: the integrator fills it on first use with
-    the fixed sparsity pattern of its Newton matrix, one per mode.
+    coefficient vectors.  Everything is immutable after assembly and safe
+    to share read-only, except ``newton_patterns``: the integrator fills
+    it on first use with the fixed sparsity pattern of its Newton matrix,
+    one per mode.
     """
 
     mesh: Mesh1D
     mass: scipy.sparse.csr_matrix
     convection: scipy.sparse.csr_matrix
     gradient: scipy.sparse.csr_matrix
-    mass_full: scipy.sparse.csr_matrix
-    b_left: np.ndarray
-    b_right: np.ndarray
-    b_visc_left: np.ndarray
-    b_visc_right: np.ndarray
     mass_banded: np.ndarray
-    half_bandwidth: int = 2
     newton_patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
@@ -164,20 +153,6 @@ class FeOperators:
     def mass_cholesky(self) -> np.ndarray:
         """Banded Cholesky factor of M; raises LinAlgError if M is not SPD."""
         return scipy.linalg.cholesky_banded(self.mass_banded, lower=True)
-
-    def interior(self, vec: np.ndarray) -> np.ndarray:
-        """Restrict a full-node vector to the interior indices."""
-        return vec[self.mesh.interior_to_global]
-
-
-def _assemble_full(mesh: Mesh1D, local: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Scatter one constant 3x3 local block into the full node matrix."""
-    cells = mesh.cells
-    n = mesh.n_nodes
-    rows = np.repeat(cells, 3, axis=1).ravel()
-    cols = np.tile(cells, (1, 3)).ravel()
-    data = np.tile(local.ravel(), mesh.n_elems)
-    return scipy.sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _banded_lower(a: scipy.sparse.spmatrix, bandwidth: int) -> np.ndarray:
@@ -191,7 +166,7 @@ def _banded_lower(a: scipy.sparse.spmatrix, bandwidth: int) -> np.ndarray:
 
 
 def assemble_operators(mesh: Mesh1D) -> FeOperators:
-    """Assemble M, D, R and the boundary trace vectors for ``mesh``.
+    """Assemble M, D and R for ``mesh``.
 
     The local blocks are computed once by quadrature on the reference
     element; D and R pick up no h factor because the derivative scaling
@@ -206,36 +181,14 @@ def assemble_operators(mesh: Mesh1D) -> FeOperators:
     # bitwise skew (the corner halves cancel pairwise at shared vertices),
     # so the structural identities hold to the last bit on every mesh.
     conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
-    grad_loc = conv_loc.T.copy()
-
-    mass_full = _assemble_full(mesh, mass_loc)
-    conv_full = _assemble_full(mesh, conv_loc)
-    grad_full = _assemble_full(mesh, grad_loc)
-
-    idx = mesh.interior_to_global
-    mass = mass_full[np.ix_(idx, idx)].tocsr()
-    convection = conv_full[np.ix_(idx, idx)].tocsr()
-    gradient = grad_full[np.ix_(idx, idx)].tocsr()
-
-    b_left = np.zeros(mesh.n_nodes)
-    b_right = np.zeros(mesh.n_nodes)
-    b_visc_left = np.zeros(mesh.n_nodes)
-    b_visc_right = np.zeros(mesh.n_nodes)
-    b_left[0] = _SQRT2
-    b_right[-1] = -_SQRT2
-    b_visc_left[0] = -1.0
-    b_visc_right[-1] = 1.0
-
+    mass, convection, gradient = (
+        _fill_interior(mesh, np.tile(local.ravel(), mesh.n_elems))
+        for local in (mass_loc, conv_loc, conv_loc.T))
     return FeOperators(
         mesh=mesh,
         mass=mass,
         convection=convection,
         gradient=gradient,
-        mass_full=mass_full,
-        b_left=b_left,
-        b_right=b_right,
-        b_visc_left=b_visc_left,
-        b_visc_right=b_visc_right,
         mass_banded=_banded_lower(mass, 2),
     )
 
@@ -258,15 +211,6 @@ def as_full_vector(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape == (mesh.n_nodes,):
         return coeffs
     return embed_interior(mesh, coeffs)
-
-
-def boundary_traces(mesh: Mesh1D, coeffs: np.ndarray) -> tuple[float, float]:
-    """Point values at x = 0 and x = 1 of the expanded function.
-
-    Interior-length vectors have vanishing traces by construction.
-    """
-    full = as_full_vector(mesh, coeffs)
-    return float(full[0]), float(full[-1])
 
 
 def quadrature_values(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
@@ -336,6 +280,15 @@ def _scatter_pattern(mesh: Mesh1D) -> _ScatterPattern:
     return _ScatterPattern(*arrays)
 
 
+def _fill_interior(mesh: Mesh1D, local: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Interior CSR matrix summing the flattened (n_elems, 9) element blocks ``local``."""
+    p = mesh._interior_pattern
+    data = local[p.first]
+    data[p.shared] += local[p.second]
+    n = mesh.n_interior
+    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(n, n))
+
+
 def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr_matrix:
     """Interior weighted mass matrix W(w)[i, j] = int w_d phi_j phi_i dx.
 
@@ -351,12 +304,7 @@ def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr
     local = np.zeros((mesh.n_elems, 9))
     for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
         local += terms * wq[:, q, None]
-    local = (mesh.h * local).ravel()
-    p = mesh._weighted_mass_pattern
-    data = local[p.first]
-    data[p.shared] += local[p.second]
-    n = mesh.n_interior
-    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(n, n))
+    return _fill_interior(mesh, (mesh.h * local).ravel())
 
 
 def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:

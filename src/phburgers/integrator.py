@@ -89,13 +89,11 @@ class RunConfig:
         if self.fixed_dt is not None and self.fixed_dt <= 0.0:
             raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
         if self.h is not None:
-            n = round(1.0 / self.h)
-            if n < 1 or abs(n * self.h - 1.0) > 1e-9:
-                raise ValueError(f"element width {self.h} does not divide (0, 1)")
+            fem1d.elements_for_width(self.h)
 
     @property
     def mesh_elems(self) -> int:
-        return self.n_elems if self.n_elems is not None else round(1.0 / self.h)
+        return self.n_elems if self.n_elems is not None else fem1d.elements_for_width(self.h)
 
     @property
     def width(self) -> float:
@@ -246,10 +244,11 @@ def newton_solve(
     if viscous:
         def residual(z):
             v, e, f, r = np.split(z, 4)
+            De = D @ e  # bitwise R^T e
             return np.concatenate([
-                M @ (v - state_n.v) - 0.5 * dt * (D @ e - R @ r + g_n),
+                M @ (v - state_n.v) - 0.5 * dt * (De - R @ r + g_n),
                 M @ e - fem1d.assemble_quadratic_load(mesh, v),
-                M @ f - R.T @ e,
+                M @ f - De,
                 fem1d.assemble_weighted_mass(mesh, v) @ r - nu * (M @ f),
             ])
 
@@ -370,8 +369,10 @@ class RunResult:
 
     ``flags`` lists detected anomalies: "early_termination" when the run
     stopped before t_final (dt underflow), "anomalous_variation" when
-    Var exceeds VAR_ANOMALY_THRESHOLD.  Stability-boundary cells show up
-    through one of these.
+    Var exceeds VAR_ANOMALY_THRESHOLD, "negative_velocity" when a viscous
+    run accepted a state with a negative velocity coefficient, where
+    W(v) has left its positive-definite regime.  Stability-boundary
+    cells show up through one of these.
     """
 
     config: RunConfig
@@ -408,12 +409,14 @@ def run_simulation(config: RunConfig, profile=diagnostics.gaussian_pulse) -> Run
 
     controller = make_controller(config)
     termination = "completed"
+    negative = False
     t_tol = 1e-12 * max(config.t_final, 1.0)
     while state.t < config.t_final - t_tol:
         state, outcome = adaptive_advance(ops, state, config, ledger, controller)
         if not outcome.accepted:
             termination = outcome.failure_reason
             break
+        negative = negative or (state.viscous and np.min(state.v) < 0.0)
         while next_target < targets.size and state.t >= targets[next_target] - t_tol:
             next_target += 1
             if snapshots[-1] is not state:
@@ -427,6 +430,8 @@ def run_simulation(config: RunConfig, profile=diagnostics.gaussian_pulse) -> Run
         flags.append("early_termination")
     if var > VAR_ANOMALY_THRESHOLD:
         flags.append("anomalous_variation")
+    if negative:
+        flags.append("negative_velocity")
     return RunResult(
         config=config,
         snapshots=snapshots,

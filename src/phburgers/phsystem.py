@@ -3,10 +3,10 @@ r"""Discrete port-Hamiltonian realization of the Burgers' system.
 The semi-discrete model keeps the interconnection structure constant and
 pushes all nonlinearity into constitutive relations:
 
-    M dv/dt = D e - R e_r + B_l u_l + B_r u_r      (dynamics)
-    M e     = N(v)                                  (co-state: e_d ~ v_d^2/2)
-    M f_r   = R^T e                                 (dissipative flow)
-    W(v) e_r = nu M f_r                             (dissipative effort)
+    M dv/dt = D e - R e_r        (dynamics)
+    M e     = N(v)               (co-state: e_d ~ v_d^2/2)
+    M f_r   = R^T e              (dissipative flow)
+    W(v) e_r = nu M f_r          (dissipative effort)
 
 with the inviscid case dropping the port rows and the R e_r term.  The
 co-state solve is the L2 projection of v_d^2/2 onto the P2 space; the
@@ -16,11 +16,8 @@ the relations gives the discrete power balances
     inviscid:  e^T M dv/dt = e^T D e = 0            (D skew-symmetric)
     viscous:   e^T M dv/dt = -(1/nu) int v_d e_rd^2 dx
 
-which hold to solver precision, independently of the mesh.
-
-Interior expansions have vanishing boundary traces, so with zero boundary
-controls every port output below is exactly zero; the control terms are
-kept in the signatures to expose the coupling structure.
+which hold to solver precision, independently of the mesh.  R^T is
+applied as D, which equals it bitwise (see fem1d).
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ import scipy.sparse.linalg
 
 from . import fem1d
 from .fem1d import FeOperators
-
-_SQRT2 = np.sqrt(2.0)
 
 # Relative pivot threshold below which W(v) counts as singular.
 W_PIVOT_RTOL = 1e-14
@@ -73,29 +68,6 @@ class State:
     @property
     def viscous(self) -> bool:
         return self.nu > 0.0
-
-
-@dataclass(frozen=True)
-class PortValues:
-    """Boundary port values: controls u and collocated outputs y.
-
-    The convective pair carries the sqrt(2)-scaled traces of the co-state
-    (2 y_left = sqrt(2) e_d(0), 2 y_right = -sqrt(2) e_d(1)); the
-    dissipative pair carries the traces of e_rd.  Interior expansions
-    have zero traces, so all outputs vanish in the shipped experiments.
-    """
-
-    u_left: float = 0.0
-    u_right: float = 0.0
-    u_visc_left: float = 0.0
-    u_visc_right: float = 0.0
-    y_left: float = 0.0
-    y_right: float = 0.0
-    y_visc_left: float = 0.0
-    y_visc_right: float = 0.0
-
-
-ZERO_PORTS = PortValues()
 
 
 def project_costate(ops: FeOperators, v: np.ndarray) -> np.ndarray:
@@ -139,7 +111,7 @@ def solve_viscous_ports(
     """
     if nu <= 0.0:
         raise ValueError(f"viscosity must be positive, got {nu}")
-    f_r = ops.solve_mass(ops.gradient.T @ e)
+    f_r = ops.solve_mass(ops.convection @ e)
     _, lu = weighted_mass_factor(ops, v)
     e_r = lu.solve(nu * (ops.mass @ f_r))
     return f_r, e_r
@@ -163,64 +135,14 @@ def make_state(
     return State(t=t, v=v, e=e, f_r=f_r, e_r=e_r, nu=nu)
 
 
-def structure_apply(ops: FeOperators, state: State, ports: PortValues = ZERO_PORTS) -> np.ndarray:
-    """Right-hand side of the dynamics row before the mass solve.
-
-    Returns g = D e - R e_r + B_l u_l + B_r u_r restricted to interior
-    rows; the boundary vectors have empty interior support, so the
-    control terms contribute nothing under the homogeneous expansion.
-    """
+def structure_apply(ops: FeOperators, state: State) -> np.ndarray:
+    """Right-hand side g = D e - R e_r of the dynamics row before the mass solve."""
     g = ops.convection @ state.e
     if state.viscous:
         g = g - ops.gradient @ state.e_r
-    g = g + ports.u_left * ops.interior(ops.b_left)
-    g = g + ports.u_right * ops.interior(ops.b_right)
     return g
 
 
-def rhs(ops: FeOperators, state: State, ports: PortValues = ZERO_PORTS) -> np.ndarray:
-    """Velocity rate w solving M w = D e - R e_r + boundary controls."""
-    return ops.solve_mass(structure_apply(ops, state, ports))
-
-
-def outputs(ops: FeOperators, state: State) -> PortValues:
-    """Boundary port outputs of a state (zero for interior expansions).
-
-    Accepts synthetic full-node co-state vectors as well, so the trace
-    scaling can be exercised in tests.
-    """
-    e0, e1 = fem1d.boundary_traces(ops.mesh, state.e)
-    if state.viscous and state.e_r.size:
-        r0, r1 = fem1d.boundary_traces(ops.mesh, state.e_r)
-    else:
-        r0 = r1 = 0.0
-    return PortValues(
-        y_left=e0 / _SQRT2,
-        y_right=-e1 / _SQRT2,
-        y_visc_left=r0,
-        y_visc_right=-r1,
-    )
-
-
-def dirac_pairing(ops: FeOperators, state: State, ports: PortValues = ZERO_PORTS) -> float:
-    """Symmetrized power pairing of the discrete interconnection.
-
-    Sums the storage rate, the dissipative port power, and the boundary
-    port products with their orientation signs:
-
-        e^T M (dv/dt) + e_r^T M f_r
-            - 2 y_l u_l - 2 y_r u_r - y_visc_l u_visc_l - y_visc_r u_visc_r.
-
-    Skew-symmetry of the block structure makes this vanish identically
-    (to rounding) for every state and every choice of controls.
-    """
-    y = outputs(ops, state)
-    total = float(state.e @ structure_apply(ops, state, ports))
-    if state.viscous:
-        flow_rhs = ops.gradient.T @ state.e
-        flow_rhs = flow_rhs + ports.u_visc_left * ops.interior(ops.b_visc_left)
-        flow_rhs = flow_rhs + ports.u_visc_right * ops.interior(ops.b_visc_right)
-        total += float(state.e_r @ flow_rhs)
-    total -= 2.0 * y.y_left * ports.u_left + 2.0 * y.y_right * ports.u_right
-    total -= y.y_visc_left * ports.u_visc_left + y.y_visc_right * ports.u_visc_right
-    return total
+def rhs(ops: FeOperators, state: State) -> np.ndarray:
+    """Velocity rate w solving M w = D e - R e_r."""
+    return ops.solve_mass(structure_apply(ops, state))

@@ -123,24 +123,6 @@ def _check_shock_formulas() -> Check:
             f"speed {speed}, dE {de:.6g}, dH {dh:.6g}")
 
 
-def _check_outputs() -> Check:
-    ops = fem1d.assemble_operators(fem1d.build_mesh(6))
-    rng = np.random.default_rng(7)
-    st = phsystem.make_state(ops, rng.standard_normal(ops.mesh.n_interior))
-    y = phsystem.outputs(ops, st)
-    interior_zero = (y.y_left == y.y_right == y.y_visc_left == y.y_visc_right == 0.0)
-    # synthetic full-node co-state exercises the sqrt(2) trace scaling
-    e_full = np.zeros(ops.mesh.n_nodes)
-    e_full[0], e_full[-1] = 3.0, -2.0
-    synth = phsystem.State(t=0.0, v=st.v, e=e_full,
-                           f_r=np.empty(0), e_r=np.empty(0), nu=0.0)
-    ys = phsystem.outputs(ops, synth)
-    scale_ok = (abs(2.0 * ys.y_left - np.sqrt(2.0) * 3.0) <= 1e-15
-                and abs(2.0 * ys.y_right - np.sqrt(2.0) * 2.0) <= 1e-15)
-    return ("port outputs: zero traces and scaling", interior_zero and scale_ok,
-            f"interior zero {interior_zero}, trace scaling {scale_ok}")
-
-
 def run_checks(seed: int = 20240314) -> list[Check]:
     """Run every check; deterministic for a fixed seed."""
     rng = np.random.default_rng(seed)
@@ -152,5 +134,4 @@ def run_checks(seed: int = 20240314) -> list[Check]:
         _check_jacobian(rng),
         _check_characteristics(),
         _check_shock_formulas(),
-        _check_outputs(),
     ]

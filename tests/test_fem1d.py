@@ -72,6 +72,12 @@ def test_structure_identities_exact(n_elems):
     assert np.abs(d + d.T).max() == 0.0
     assert np.abs(r - d.T).max() == 0.0
     ops.mass_cholesky()
+    # the solver applies R^T as D: the matvecs agree to the bit, signed zeros included
+    rng = np.random.default_rng(n_elems)
+    for kind in FIELD_KINDS:
+        x = sample_field(kind, rng, ops.mesh.n_interior)
+        np.testing.assert_array_equal((ops.gradient.T @ x).view(np.int64),
+                                      (ops.convection @ x).view(np.int64))
 
 
 def test_quadrature_exact_to_degree_nine():
@@ -100,16 +106,8 @@ def test_embed_and_restrict_roundtrip():
     full = fem1d.embed_interior(mesh, v)
     assert full[0] == full[-1] == 0.0
     np.testing.assert_array_equal(full[mesh.interior_to_global], v)
-    ops = fem1d.assemble_operators(mesh)
-    np.testing.assert_array_equal(ops.interior(full), v)
     with pytest.raises(ValueError):
         fem1d.embed_interior(mesh, v[:-1])
-
-
-def test_boundary_traces_of_interior_vanish():
-    mesh = fem1d.build_mesh(4)
-    v = np.random.default_rng(0).standard_normal(mesh.n_interior)
-    assert fem1d.boundary_traces(mesh, v) == (0.0, 0.0)
 
 
 def test_weighted_mass_is_symmetric_trilinear_form():
@@ -128,10 +126,8 @@ def test_weighted_mass_is_symmetric_trilinear_form():
         assert val == pytest.approx(ref, rel=1e-13)
 
 
-def einsum_weighted_mass(mesh, weight):
-    """Reference assembly: einsum element blocks, COO sum, np.ix_ interior cut."""
-    wq = fem1d.quadrature_values(mesh, fem1d.embed_interior(mesh, weight))
-    local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
+def coo_interior(mesh, local):
+    """Reference scatter: COO sum of the element blocks over all nodes, np.ix_ interior cut."""
     cells = mesh.cells
     rows = np.repeat(cells, 3, axis=1).ravel()
     cols = np.tile(cells, (1, 3)).ravel()
@@ -139,6 +135,31 @@ def einsum_weighted_mass(mesh, weight):
     full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     idx = mesh.interior_to_global
     return full[np.ix_(idx, idx)].tocsr()
+
+
+def einsum_weighted_mass(mesh, weight):
+    """Reference assembly of W(w): einsum element blocks, then coo_interior."""
+    wq = fem1d.quadrature_values(mesh, fem1d.embed_interior(mesh, weight))
+    local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
+    return coo_interior(mesh, local)
+
+
+def full_assembly_operators(mesh):
+    """Reference M, D, R: the constant local blocks tiled over the mesh, then coo_interior."""
+    mass_loc = mesh.h * np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._PHI, fem1d._PHI)
+    conv_q = np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._DPHI, fem1d._PHI)
+    conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
+    return tuple(coo_interior(mesh, np.tile(local.ravel(), mesh.n_elems))
+                 for local in (mass_loc, conv_loc, conv_loc.T.copy()))
+
+
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
+def test_operators_are_bitwise_the_full_assembly(n_elems):
+    mesh = fem1d.build_mesh(n_elems)
+    ops = fem1d.assemble_operators(mesh)
+    for got, ref in zip((ops.mass, ops.convection, ops.gradient),
+                        full_assembly_operators(mesh)):
+        assert_bitwise_equal(got, ref)
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)
@@ -171,27 +192,3 @@ def test_solve_mass_inverts_mass():
     b = rng.standard_normal(ops.mesh.n_interior)
     x = ops.solve_mass(b)
     assert np.linalg.norm(ops.mass @ x - b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_mass_full_partition_of_unity():
-    # full-node mass rows sum to int phi_i = the exact nodal weights
-    mesh = fem1d.build_mesh(8)
-    ops = fem1d.assemble_operators(mesh)
-    row_sums = np.asarray(ops.mass_full.sum(axis=1)).ravel()
-    assert row_sums.sum() == pytest.approx(1.0, rel=1e-14)
-    # vertex weight h/3 inside, h/6 at the ends; midpoint weight 2h/3
-    h = mesh.h
-    assert row_sums[0] == pytest.approx(h / 6.0, rel=1e-13)
-    assert row_sums[1] == pytest.approx(2.0 * h / 3.0, rel=1e-13)
-    assert row_sums[2] == pytest.approx(h / 3.0, rel=1e-13)
-
-
-def test_boundary_vectors_carry_scaled_traces():
-    ops = fem1d.assemble_operators(fem1d.build_mesh(3))
-    s = np.sqrt(2.0)
-    assert ops.b_left[0] == pytest.approx(s)
-    assert ops.b_right[-1] == pytest.approx(-s)
-    assert ops.b_visc_left[0] == -1.0 and ops.b_visc_right[-1] == 1.0
-    # interior restriction has no boundary support
-    assert np.all(ops.interior(ops.b_left) == 0.0)
-    assert np.all(ops.interior(ops.b_visc_right) == 0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import phburgers
 from phburgers import cli, diagnostics, fem1d, integrator, phsystem, sweep
 
 
@@ -273,3 +274,8 @@ def test_cli_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     err = capsys.readouterr().err
     assert "checks passed" in err and "FAIL" not in err
+
+
+def test_package_exports_resolve():
+    # a name deleted from a module but left in __all__ breaks star imports
+    assert [name for name in phburgers.__all__ if not hasattr(phburgers, name)] == []

@@ -320,6 +320,16 @@ def test_boundary_cell_dies_early_and_is_flagged():
     assert "early_termination" in run.flags
 
 
+def test_wall_zone_sign_change_is_flagged():
+    # the semi-discrete flow of this cell drives the wall-adjacent velocity
+    # through zero at t = 0.0015; the Crank-Nicolson run steps over it and
+    # completes, so only the sign flag tells that W(v) went indefinite
+    run = integrator.run_simulation(integrator.RunConfig(h=1e-2, alpha=1.0, beta=5.0))
+    assert run.termination_reason == "completed"
+    assert run.flags == ("negative_velocity",)
+    assert np.min(run.snapshots[-1].v) < 0.0
+
+
 def test_fixed_dt_stops_on_first_failure():
     cfg = integrator.RunConfig(h=1e-2, alpha=0.5, beta=5.0, fixed_dt=5e-3)
     run = integrator.run_simulation(cfg)

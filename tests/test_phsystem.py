@@ -1,4 +1,4 @@
-"""Constitutive solves, power balance, and port bookkeeping."""
+"""Constitutive solves and power balance."""
 
 import numpy as np
 import pytest
@@ -138,41 +138,3 @@ def test_rhs_solves_dynamics_row():
     w = phsystem.rhs(ops, st)
     g = phsystem.structure_apply(ops, st)
     assert np.linalg.norm(ops.mass @ w - g) <= 1e-12 * max(np.linalg.norm(g), 1e-300)
-
-
-def test_outputs_vanish_for_interior_states():
-    ops = fem1d.assemble_operators(fem1d.build_mesh(5))
-    v = np.random.default_rng(2).uniform(0.2, 1.2, ops.mesh.n_interior)
-    y = phsystem.outputs(ops, phsystem.make_state(ops, v, nu=1e-2))
-    assert (y.y_left, y.y_right, y.y_visc_left, y.y_visc_right) == (0.0, 0.0, 0.0, 0.0)
-
-
-def test_outputs_scale_boundary_traces():
-    # synthetic full-node efforts exercise the trace orientation and scaling
-    ops = fem1d.assemble_operators(fem1d.build_mesh(4))
-    n = ops.mesh.n_nodes
-    e = np.zeros(n)
-    e[0], e[-1] = 3.0, 5.0
-    er = np.zeros(n)
-    er[0], er[-1] = -2.0, 7.0
-    st = phsystem.State(t=0.0, v=np.zeros(ops.mesh.n_interior), e=e,
-                        f_r=np.zeros(ops.mesh.n_interior), e_r=er, nu=1.0)
-    y = phsystem.outputs(ops, st)
-    s = np.sqrt(2.0)
-    assert y.y_left == pytest.approx(3.0 / s)
-    assert y.y_right == pytest.approx(-5.0 / s)
-    assert y.y_visc_left == -2.0
-    assert y.y_visc_right == -7.0
-
-
-@pytest.mark.parametrize("nu", [0.0, 5e-3])
-def test_dirac_pairing_vanishes_with_random_controls(nu):
-    ops = fem1d.assemble_operators(fem1d.build_mesh(9))
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        v = rng.uniform(0.2, 1.2, ops.mesh.n_interior)
-        st = phsystem.make_state(ops, v, nu=nu)
-        ports = phsystem.PortValues(
-            u_left=rng.standard_normal(), u_right=rng.standard_normal(),
-            u_visc_left=rng.standard_normal(), u_visc_right=rng.standard_normal())
-        assert abs(phsystem.dirac_pairing(ops, st, ports)) <= 1e-12
