@@ -46,6 +46,15 @@ def _float_list(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
 
 
+_TABLE_FORMATS = ("csv", "text")
+
+
+def _table_format(text: str) -> str:
+    if text not in _TABLE_FORMATS:
+        raise ValueError(f"expected one of {', '.join(_TABLE_FORMATS)}, got {text!r}")
+    return text
+
+
 # keys a config file may set, with their conversions
 _CONFIG_TYPES = {
     "h": float,
@@ -58,7 +67,7 @@ _CONFIG_TYPES = {
     "snapshots": int,
     "out_dir": str,
     "workers": int,
-    "format": str,
+    "format": _table_format,
     "alphas": _float_list,
     "betas": _float_list,
     "hs": _float_list,
@@ -126,10 +135,9 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--newton-tol", dest="newton_tol", type=float)
     p_sweep.add_argument("--dt-min-factor", dest="dt_min_factor", type=float)
     p_sweep.add_argument("--workers", type=int, help="worker processes (default: cores)")
-    p_sweep.add_argument("--format", choices=("csv", "text"), help="table format")
+    p_sweep.add_argument("--format", choices=_TABLE_FORMATS, help="table format")
 
-    p_verify = sub.add_parser("verify", help="run the built-in check battery")
-    p_verify.add_argument("--config", help=argparse.SUPPRESS)
+    sub.add_parser("verify", help="run the built-in check battery")
 
     p_oracle = sub.add_parser("oracle", help="print reference values")
     group = p_oracle.add_mutually_exclusive_group(required=True)
@@ -226,7 +234,7 @@ _COMMANDS = {
 }
 
 
-def cli_main(argv=None) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -236,8 +244,6 @@ def cli_main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-main = cli_main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -231,7 +231,7 @@ def characteristics_solution(t: float, x, v0=gaussian_pulse, v0_slope=None):
 
 def characteristics_l2_error(mesh: Mesh1D, v: np.ndarray, t: float, v0=gaussian_pulse) -> float:
     """L2 distance between the FE expansion and the exact smooth solution."""
-    xq, _ = fem1d.quadrature_points(mesh)
+    xq = fem1d.quadrature_points(mesh)
     exact = characteristics_solution(t, xq.ravel(), v0).reshape(xq.shape)
     vq = fem1d.quadrature_values(mesh, v)
     return float(np.sqrt(fem1d.integrate(mesh, (vq - exact) ** 2)))

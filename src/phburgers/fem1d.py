@@ -54,9 +54,9 @@ def _reference_basis_deriv(xi: np.ndarray) -> np.ndarray:
     ])
 
 
-def _gauss_rule(n_points: int = 5) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points/weights mapped from [-1, 1] to [0, 1]."""
-    pts, wts = np.polynomial.legendre.leggauss(n_points)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre points/weights mapped from [-1, 1] to [0, 1]."""
+    pts, wts = np.polynomial.legendre.leggauss(5)
     return 0.5 * (pts + 1.0), 0.5 * wts
 
 
@@ -225,12 +225,10 @@ def quadrature_derivatives(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ea,aq->eq", full[mesh.cells], _DPHI) / mesh.h
 
 
-def quadrature_points(mesh: Mesh1D) -> tuple[np.ndarray, np.ndarray]:
-    """Global quadrature points and weights, each of shape (n_elems, 5)."""
+def quadrature_points(mesh: Mesh1D) -> np.ndarray:
+    """Global quadrature points, shape (n_elems, 5); :func:`integrate` applies the weights."""
     left = mesh.nodes[: -1 : 2]
-    x = left[:, None] + mesh.h * _QP[None, :]
-    w = np.broadcast_to(mesh.h * _QW, x.shape)
-    return x, w
+    return left[:, None] + mesh.h * _QP[None, :]
 
 
 def integrate(mesh: Mesh1D, values: np.ndarray) -> float:

@@ -26,11 +26,12 @@ singular wherever v_d nearly vanishes (the boundary zones of the pulse
 data).  The semi-discrete solution set is the same as for the
 eliminated one-field iteration.
 
-The step controller shrinks dt on any failure (Newton stagnation,
-non-finite residual, singular W) and grows it after a streak of cheap
-acceptances, capped at a fixed multiple of the initial step; runs
-terminate early when dt falls below its floor, which is how the
-inviscid fine-mesh configurations die at the shock.
+The step controller scales dt by DT_SHRINK on any failure (Newton
+stagnation, non-finite residual, singular W) and by DT_GROWTH after
+GROWTH_STREAK acceptances in a row of at most GROWTH_ITER_LIMIT Newton
+iterations each, capped at DT_CAP_FACTOR dt0; runs end early when dt
+falls below its floor, which is how the inviscid fine-mesh
+configurations die at the shock.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ from . import diagnostics, fem1d, phsystem
 from .diagnostics import PowerLedger
 from .fem1d import FeOperators
 from .phsystem import State, StepFailure
+
+NEWTON_MAX_ITER = 12
+DT_SHRINK = 0.5
+DT_GROWTH = 1.5
+DT_CAP_FACTOR = 8.0
+GROWTH_STREAK = 5
+GROWTH_ITER_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -65,13 +73,7 @@ class RunConfig:
     beta: float = 0.0
     t_final: float = 0.4
     newton_tol: float = 1e-8
-    newton_max_iter: int = 12
-    dt_shrink: float = 0.5
-    dt_growth: float = 1.5
-    dt_cap_factor: float = 8.0
     dt_min_factor: float = 2.0**-12
-    growth_streak: int = 5
-    growth_iter_limit: int = 3
     n_snapshots: int = 50
     fixed_dt: float | None = None
 
@@ -109,7 +111,7 @@ class RunConfig:
 
     @property
     def dt_cap(self) -> float:
-        return self.dt_cap_factor * self.dt0
+        return DT_CAP_FACTOR * self.dt0
 
     @property
     def dt_min(self) -> float:
@@ -148,19 +150,19 @@ def _newton_layout(m, d, r, rt, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
             [wr, None, m_nu, wv]]
 
 
-def _newton_pattern(ops: FeOperators, W: scipy.sparse.csr_matrix, viscous: bool):
+def _newton_pattern(ops: FeOperators, viscous: bool):
     """CSC pattern of the Newton matrix and, per entry, its source.
 
     Returns ``(indptr, indices, source)``: entry k of the matrix is entry
     ``source[k]`` of the concatenated data arrays of the blocks, taken in
     row-major order.  Built once per operator set and mode, by one
     ``scipy.sparse.bmat`` call on the blocks with their data replaced by
-    running ids; ``W`` stands for any weighted mass, whose pattern is fixed.
+    running ids; M stands for every weighted mass, whose pattern it shares.
     """
     pattern = ops.newton_patterns.get(viscous)
     if pattern is None:
         M, D, R = ops.mass, ops.convection, ops.gradient
-        rows = _newton_layout(M, D, R, R.T, W, W, M, W, viscous)
+        rows = _newton_layout(M, D, R, R.T, M, M, M, M, viscous)
         start = 1  # ids start at 1 so that none is a zero
         for row in rows:
             for j, block in enumerate(row):
@@ -190,7 +192,7 @@ def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.cs
     rows = _newton_layout(M, D * (-0.5 * dt), R * (0.5 * dt), -R, -Wv.data, Wr,
                           M * (-trial.nu), Wv.data, trial.viscous)
     data = np.concatenate([block for row in rows for block in row if block is not None])
-    indptr, indices, source = _newton_pattern(ops, Wv, trial.viscous)
+    indptr, indices, source = _newton_pattern(ops, trial.viscous)
     n = indptr.size - 1
     return scipy.sparse.csc_matrix((data[source], indices, indptr), shape=(n, n))
 
@@ -206,7 +208,7 @@ def jacobian_apply(ops: FeOperators, state: State, dt: float, w: np.ndarray) -> 
     if state.viscous:
         df = ops.solve_mass(ops.gradient.T @ de)
         Wr = fem1d.assemble_weighted_mass(ops.mesh, state.e_r)
-        _, lu = phsystem.weighted_mass_factor(ops, state.v)
+        lu = phsystem.weighted_mass_factor(ops, state.v)
         dr = lu.solve(state.nu * (ops.mass @ df) - Wr @ w)
         g_dir = g_dir - ops.gradient @ dr
     return ops.mass @ w - 0.5 * dt * g_dir
@@ -276,7 +278,7 @@ def newton_solve(
     if not np.isfinite(res):
         raise StepFailure("newton_divergence")
     tol = config.newton_tol * max(res, float(np.linalg.norm(M @ state_n.v)), 1e-300)
-    for iters in range(config.newton_max_iter):
+    for iters in range(NEWTON_MAX_ITER):
         if res <= tol:
             return unpack(z), iters
         A = _newton_matrix(ops, unpack(z), dt)
@@ -301,7 +303,7 @@ def newton_solve(
         if not accepted:
             raise StepFailure("newton_divergence")
     if res <= tol:
-        return unpack(z), config.newton_max_iter
+        return unpack(z), NEWTON_MAX_ITER
     raise StepFailure("newton_divergence")
 
 
@@ -338,22 +340,22 @@ def adaptive_advance(
             new_state, iters = newton_solve(ops, state, dt, config)
         except StepFailure as fail:
             if config.fixed_dt is not None:
-                return state, StepOutcome(False, dt, config.newton_max_iter, fail.reason)
+                return state, StepOutcome(False, dt, NEWTON_MAX_ITER, fail.reason)
             controller.streak = 0
-            controller.dt *= config.dt_shrink
+            controller.dt *= DT_SHRINK
             if controller.dt < config.dt_min:
-                return state, StepOutcome(False, dt, config.newton_max_iter, "dt_underflow")
+                return state, StepOutcome(False, dt, NEWTON_MAX_ITER, "dt_underflow")
             continue
         if clamped:
             new_state = dataclasses.replace(new_state, t=config.t_final)
         ledger.record(ops.mesh, new_state, dt, iters)
         if config.fixed_dt is None:
-            if iters <= config.growth_iter_limit:
+            if iters <= GROWTH_ITER_LIMIT:
                 controller.streak += 1
             else:
                 controller.streak = 0
-            if controller.streak >= config.growth_streak:
-                controller.dt = min(controller.dt * config.dt_growth, config.dt_cap)
+            if controller.streak >= GROWTH_STREAK:
+                controller.dt = min(controller.dt * DT_GROWTH, config.dt_cap)
                 controller.streak = 0
         return new_state, StepOutcome(True, dt, iters)
 

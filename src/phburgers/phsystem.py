@@ -81,9 +81,9 @@ def project_costate(ops: FeOperators, v: np.ndarray) -> np.ndarray:
 def weighted_mass_factor(ops: FeOperators, w: np.ndarray):
     """Factor W(w) by sparse LU, rejecting an exactly singular W or a tiny pivot.
 
-    Returns ``(W, lu)``.  Raises StepFailure("singular_weighted_mass")
-    for the time-step controller to handle when SuperLU finds W exactly
-    singular or an LU pivot is smaller than
+    Returns its SuperLU factorization.  Raises
+    StepFailure("singular_weighted_mass") for the time-step controller
+    when SuperLU finds W exactly singular or an LU pivot is smaller than
     ``W_PIVOT_RTOL * max absolute row sum``.  This is a pivot test, not a
     conditioning test, and it misses a W that is singular to rounding:
     along the RK45 trajectory of the semi-discrete flow at (h=1e-2,
@@ -98,7 +98,7 @@ def weighted_mass_factor(ops: FeOperators, w: np.ndarray):
         raise StepFailure("singular_weighted_mass") from exc
     if row_scale == 0.0 or np.min(np.abs(lu.U.diagonal())) < W_PIVOT_RTOL * row_scale:
         raise StepFailure("singular_weighted_mass")
-    return W, lu
+    return lu
 
 
 def solve_viscous_ports(
@@ -112,7 +112,7 @@ def solve_viscous_ports(
     if nu <= 0.0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     f_r = ops.solve_mass(ops.convection @ e)
-    _, lu = weighted_mass_factor(ops, v)
+    lu = weighted_mass_factor(ops, v)
     e_r = lu.solve(nu * (ops.mass @ f_r))
     return f_r, e_r
 

@@ -123,9 +123,9 @@ def _check_shock_formulas() -> Check:
             f"speed {speed}, dE {de:.6g}, dH {dh:.6g}")
 
 
-def run_checks(seed: int = 20240314) -> list[Check]:
-    """Run every check; deterministic for a fixed seed."""
-    rng = np.random.default_rng(seed)
+def run_checks() -> list[Check]:
+    """Run every check; deterministic, the random ones draw from a fixed seed."""
+    rng = np.random.default_rng(20240314)
     return [
         _check_structure(),
         _check_projection(rng),

@@ -122,15 +122,19 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
     return SweepResult(cells=tuple(cells))
 
 
-def format_table_csv(result: SweepResult) -> str:
-    """Full-precision CSV, one row per cell."""
+def _csv_text(header, rows) -> str:
+    """CSV of ``header`` and ``rows``; csv writes a float as its exact repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for c in result.cells:
-        writer.writerow([repr(c.alpha), repr(c.beta), repr(c.h), repr(c.var),
-                         repr(c.t_final), c.n_steps, c.termination])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def format_table_csv(result: SweepResult) -> str:
+    """Full-precision CSV, one row per cell."""
+    return _csv_text(CSV_HEADER, ((c.alpha, c.beta, c.h, c.var, c.t_final, c.n_steps,
+                                   c.termination) for c in result.cells))
 
 
 def parse_table_csv(text: str) -> SweepResult:
@@ -187,13 +191,9 @@ def emit_table(result: SweepResult, format: str = "csv") -> str:
 
 
 def format_ledger_csv(ledger: PowerLedger) -> str:
-    """Per-step power bookkeeping as full-precision CSV."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LEDGER_HEADER)
-    for row in ledger.rows():
-        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
-    return buf.getvalue()
+    """Per-step power bookkeeping as full-precision CSV; numpy floats print as floats."""
+    return _csv_text(LEDGER_HEADER, ([float(x) if isinstance(x, float) else x for x in row]
+                                     for row in ledger.rows()))
 
 
 def format_snapshot_csv(mesh: fem1d.Mesh1D, state: State) -> str:
@@ -204,14 +204,8 @@ def format_snapshot_csv(mesh: fem1d.Mesh1D, state: State) -> str:
         e_r = fem1d.as_full_vector(mesh, state.e_r)
     else:
         e_r = np.zeros(mesh.n_nodes)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SNAPSHOT_HEADER)
-    for k in range(mesh.n_nodes):
-        # plain-float repr: numpy scalars stringify as np.float64(...)
-        writer.writerow([repr(float(mesh.nodes[k])), repr(float(v[k])),
-                         repr(float(e[k])), repr(float(e_r[k]))])
-    return buf.getvalue()
+    # tolist gives plain floats: numpy scalars stringify as np.float64(...)
+    return _csv_text(SNAPSHOT_HEADER, zip(*(col.tolist() for col in (mesh.nodes, v, e, e_r))))
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

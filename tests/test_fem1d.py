@@ -82,7 +82,7 @@ def test_structure_identities_exact(n_elems):
 
 def test_quadrature_exact_to_degree_nine():
     mesh = fem1d.build_mesh(3)
-    xq, _ = fem1d.quadrature_points(mesh)
+    xq = fem1d.quadrature_points(mesh)
     for p in range(10):
         exact = 1.0 / (p + 1)
         assert fem1d.integrate(mesh, xq**p) == pytest.approx(exact, rel=1e-14)

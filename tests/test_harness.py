@@ -1,5 +1,7 @@
 """Sweep execution, serialization round trips, and the command line."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -174,6 +176,72 @@ def test_snapshot_csv_values_round_trip():
     np.testing.assert_array_equal(got_x, ops.mesh.nodes)
 
 
+# Reference writers that put every float through repr(float(x)) explicitly:
+# the oracle for the writers built on the shared csv helper.
+
+
+def explicit_repr_table_csv(result):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sweep.CSV_HEADER)
+    for c in result.cells:
+        writer.writerow([repr(c.alpha), repr(c.beta), repr(c.h), repr(c.var),
+                         repr(c.t_final), c.n_steps, c.termination])
+    return buf.getvalue()
+
+
+def explicit_repr_ledger_csv(ledger):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sweep.LEDGER_HEADER)
+    for row in ledger.rows():
+        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+def explicit_repr_snapshot_csv(mesh, state):
+    v = fem1d.as_full_vector(mesh, state.v)
+    e = fem1d.as_full_vector(mesh, state.e)
+    e_r = fem1d.as_full_vector(mesh, state.e_r) if state.e_r.size else np.zeros(mesh.n_nodes)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(sweep.SNAPSHOT_HEADER)
+    for k in range(mesh.n_nodes):
+        writer.writerow([repr(float(mesh.nodes[k])), repr(float(v[k])),
+                         repr(float(e[k])), repr(float(e_r[k]))])
+    return buf.getvalue()
+
+
+def test_csv_writers_match_explicit_repr_oracle():
+    # int-valued grid cells print as ints; an error text with a comma and a
+    # quote is quoted the same way
+    table = sweep.SweepResult(cells=(
+        sweep.SweepCell(1, 0, 1, 0.1 + 0.2, 0.4, 20, "completed"),
+        sweep.SweepCell(2, 5, 1, float("nan"), float("nan"), 0,
+                        'error: ValueError: width "0.3", not 1/n'),
+    ))
+    assert sweep.format_table_csv(table) == explicit_repr_table_csv(table)
+    assert '"error: ValueError: width ""0.3"", not 1/n"' in sweep.format_table_csv(table)
+
+    run = integrator.run_simulation(
+        integrator.RunConfig(h=0.1, beta=1.0, t_final=0.05, n_snapshots=3))
+    assert run.snapshots[-1].viscous
+    assert sweep.format_ledger_csv(run.ledger) == explicit_repr_ledger_csv(run.ledger)
+    # numpy scalars handed to append print as plain floats, as before
+    ledger = diagnostics.PowerLedger()
+    ledger.append(*np.array([0.0, 0.0, 0.0, 1.0 / 3.0, 0.25, -0.5, 0.125]))
+    assert "np." not in sweep.format_ledger_csv(ledger)
+    assert sweep.format_ledger_csv(ledger) == explicit_repr_ledger_csv(ledger)
+
+    mesh = fem1d.build_mesh(run.config.mesh_elems)
+    assert sweep.format_snapshot_csv(mesh, run.snapshots[-1]) == \
+        explicit_repr_snapshot_csv(mesh, run.snapshots[-1])
+    ops = fem1d.assemble_operators(mesh)
+    inviscid = phsystem.make_state(ops, fem1d.interpolate(mesh, diagnostics.gaussian_pulse))
+    assert inviscid.e_r.size == 0
+    assert sweep.format_snapshot_csv(mesh, inviscid) == explicit_repr_snapshot_csv(mesh, inviscid)
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -268,6 +336,13 @@ def test_cli_config_file_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", str(malformed)]) == 1
     assert cli.main(["run", "--config", str(tmp_path / "missing.cfg")]) == 1
     capsys.readouterr()
+    # file values pass the flags' checks before any cell runs
+    fmt = tmp_path / "fmt.cfg"
+    fmt.write_text("hs = 0.1\nformat = json\n")
+    out = tmp_path / "study"
+    assert cli.main(["sweep", "--config", str(fmt), "--out-dir", str(out)]) == 1
+    assert f"{fmt}:2: bad value for format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_passes(capsys):

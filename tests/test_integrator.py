@@ -105,10 +105,10 @@ def test_newton_postcondition_on_step_residual():
         v = rng.uniform(0.4, 1.4, ops.mesh.n_interior)
         st = phsystem.make_state(ops, v, nu=nu)
         cfg = integrator.RunConfig(n_elems=16, beta=0.0 if nu == 0.0 else 1.0,
-                                   newton_tol=1e-10, newton_max_iter=25)
+                                   newton_tol=1e-10)
         dt = 1e-3
         out, iters = integrator.newton_solve(ops, st, dt, cfg)
-        assert 0 < iters <= 25
+        assert 0 < iters <= integrator.NEWTON_MAX_ITER
         res = np.linalg.norm(integrator.cn_residual(ops, st, out.v, dt))
         res0 = np.linalg.norm(integrator.cn_residual(ops, st, st.v, dt))
         bound = cfg.newton_tol * max(res0, np.linalg.norm(ops.mass @ st.v))
@@ -120,7 +120,7 @@ def test_newton_matches_generic_root_finder():
     ops = make_ops(10)
     st = pulse_state(ops)
     dt = 0.02
-    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-13, newton_max_iter=30)
+    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-13)
     out, _ = integrator.newton_solve(ops, st, dt, cfg)
 
     sol = scipy.optimize.root(
@@ -129,10 +129,11 @@ def test_newton_matches_generic_root_finder():
     assert np.linalg.norm(out.v - sol.x) <= 1e-9 * max(np.linalg.norm(sol.x), 1.0)
 
 
-def test_newton_runs_out_of_iterations():
+def test_newton_runs_out_of_iterations(monkeypatch):
+    monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", 1)
     ops = make_ops(10)
     st = pulse_state(ops)
-    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-14, newton_max_iter=1)
+    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-14)
     with pytest.raises(phsystem.StepFailure) as exc:
         integrator.newton_solve(ops, st, 0.05, cfg)
     assert exc.value.reason == "newton_divergence"
@@ -243,8 +244,8 @@ def replay_controller(cfg):
         t = cfg.t_final if dt >= cfg.t_final - t else t + dt
         steps += 1
         streak += 1
-        if streak >= cfg.growth_streak:
-            dt = min(dt * cfg.dt_growth, cfg.dt_cap)
+        if streak >= integrator.GROWTH_STREAK:
+            dt = min(dt * integrator.DT_GROWTH, cfg.dt_cap)
             streak = 0
     return steps
 

@@ -1,0 +1,61 @@
+"""Digest of the files and messages of two reference command-line runs.
+
+Runs, from the ``src/`` of the checkout this script sits in,
+
+    phburgers sweep --hs 0.01               (table and 12 ledgers)
+    phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
+
+each into its own directory under a temporary directory.  Prints one
+``sha256  relative/path`` line per output file, sorted, then each
+command's exit code and stderr with the temporary directory replaced by
+``<out>``.  Two checkouts produced the same bytes and said the same
+thing exactly when their listings are equal:
+
+    python3 tools/output_digest.py > before.txt    # in one checkout
+    python3 tools/output_digest.py > after.txt     # in the other
+    diff before.txt after.txt
+
+Uses the standard library only and takes no options.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMMANDS = (
+    ("sweep", ["sweep", "--hs", "0.01"]),
+    ("run", ["run", "--h", "1e-3", "--beta", "1"]),
+)
+
+MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        messages = []
+        for name, args in COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-c", MAIN, *args, "--out-dir", os.path.join(tmp, name)],
+                env=env, capture_output=True, text=True)
+            messages.append(f"{name}: exit {proc.returncode}")
+            messages += [f"{name}: {line.replace(tmp, '<out>')}"
+                         for line in proc.stderr.splitlines()]
+        root = Path(tmp)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+        print("\n".join(messages))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
