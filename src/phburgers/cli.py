@@ -58,12 +58,9 @@ def _table_format(text: str) -> str:
 # keys a config file may set, with their conversions
 _CONFIG_TYPES = {
     "h": float,
-    "n_elems": int,
     "alpha": float,
     "beta": float,
     "t_final": float,
-    "newton_tol": float,
-    "dt_min_factor": float,
     "snapshots": int,
     "out_dir": str,
     "workers": int,
@@ -116,13 +113,10 @@ def _build_parser() -> _Parser:
 
     p_run = sub.add_parser("run", help="run one simulation")
     add_common(p_run)
-    p_run.add_argument("--h", type=float, help="element width (1/h integral)")
-    p_run.add_argument("--n-elems", dest="n_elems", type=int, help="number of elements")
+    p_run.add_argument("--h", type=float, help="element width, required (1/h integral)")
     p_run.add_argument("--alpha", type=float, help="dt0 = alpha * h (default 1)")
     p_run.add_argument("--beta", type=float, help="nu = beta * h / alpha (0 = inviscid)")
     p_run.add_argument("--t-final", dest="t_final", type=float, help="end time (default 0.4)")
-    p_run.add_argument("--newton-tol", dest="newton_tol", type=float)
-    p_run.add_argument("--dt-min-factor", dest="dt_min_factor", type=float)
     p_run.add_argument("--snapshots", type=int, help="snapshot count (default 50)")
 
     p_sweep = sub.add_parser("sweep", help="run the (alpha, beta, h) study")
@@ -131,9 +125,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--betas", type=_float_list, help="comma list (default 0,1,2,5)")
     p_sweep.add_argument("--hs", type=_float_list,
                          help="comma list (default 5e-4,1e-3,2.5e-3,5e-3,1e-2)")
-    p_sweep.add_argument("--t-final", dest="t_final", type=float)
-    p_sweep.add_argument("--newton-tol", dest="newton_tol", type=float)
-    p_sweep.add_argument("--dt-min-factor", dest="dt_min_factor", type=float)
+    p_sweep.add_argument("--t-final", dest="t_final", type=float, help="end time (default 0.4)")
     p_sweep.add_argument("--workers", type=int, help="worker processes (default: cores)")
     p_sweep.add_argument("--format", choices=_TABLE_FORMATS, help="table format")
 
@@ -153,9 +145,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
+    if args.h is None:
+        raise UsageError("the element width h is required (--h or a config file entry)")
     kwargs = {}
-    for key in ("h", "n_elems", "alpha", "beta", "t_final",
-                "newton_tol", "dt_min_factor"):
+    for key in ("h", "alpha", "beta", "t_final"):
         if getattr(args, key) is not None:
             kwargs[key] = getattr(args, key)
     if args.snapshots is not None:
@@ -177,12 +170,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    for key in ("t_final", "newton_tol", "dt_min_factor"):
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
-    grid_kwargs = {"overrides": overrides}
-    for key in ("alphas", "betas", "hs"):
+    grid_kwargs = {}
+    for key in ("alphas", "betas", "hs", "t_final"):
         if getattr(args, key) is not None:
             grid_kwargs[key] = getattr(args, key)
     try:

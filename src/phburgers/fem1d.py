@@ -30,6 +30,7 @@ matrices share one fixed interior sparsity pattern, built once per mesh.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,6 +118,8 @@ def build_mesh(n_elems: int) -> Mesh1D:
 
 def elements_for_width(h: float) -> int:
     """Element count of the mesh of width ``h``; raises ValueError unless 1/h is integral."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"element width must be positive and finite, got {h}")
     n = round(1.0 / h)
     if n < 1 or abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"element width {h} does not divide the unit interval")

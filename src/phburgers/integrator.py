@@ -30,13 +30,15 @@ The step controller scales dt by DT_SHRINK on any failure (Newton
 stagnation, non-finite residual, singular W) and by DT_GROWTH after
 GROWTH_STREAK acceptances in a row of at most GROWTH_ITER_LIMIT Newton
 iterations each, capped at DT_CAP_FACTOR dt0; runs end early when dt
-falls below its floor, which is how the inviscid fine-mesh
-configurations die at the shock.
+falls below its floor DT_MIN_FACTOR dt0, which is how the inviscid
+fine-mesh configurations die at the shock.  Newton declares convergence
+at NEWTON_TOL relative to the residual scale (see newton_solve).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,8 @@ from .fem1d import FeOperators
 from .phsystem import State, StepFailure
 
 NEWTON_MAX_ITER = 12
+NEWTON_TOL = 1e-8
+DT_MIN_FACTOR = 2.0**-12
 DT_SHRINK = 0.5
 DT_GROWTH = 1.5
 DT_CAP_FACTOR = 8.0
@@ -60,42 +64,35 @@ GROWTH_ITER_LIMIT = 3
 class RunConfig:
     """Everything one simulation needs; all experiments set alpha, beta, h.
 
-    The mesh is given either by ``n_elems`` or the element width ``h``
-    (exactly one).  Time stepping starts at dt0 = alpha h and the
-    viscosity is nu = beta h / alpha, recomputed on demand; beta = 0
+    The mesh is the partition of (0, 1) into elements of width ``h``,
+    so 1/h must be integral.  Time stepping starts at dt0 = alpha h and
+    the viscosity is nu = beta h / alpha, recomputed on demand; beta = 0
     selects the inviscid system.  ``fixed_dt`` disables adaptivity for
-    order studies.
+    order studies.  The float fields must be finite; the comparisons
+    are written so that NaN fails them.
     """
 
-    n_elems: int | None = None
-    h: float | None = None
+    h: float
     alpha: float = 1.0
     beta: float = 0.0
     t_final: float = 0.4
-    newton_tol: float = 1e-8
-    dt_min_factor: float = 2.0**-12
     n_snapshots: int = 50
     fixed_dt: float | None = None
 
     def __post_init__(self):
-        if (self.n_elems is None) == (self.h is None):
-            raise ValueError("specify exactly one of n_elems or h")
-        if self.n_elems is not None and self.n_elems < 1:
-            raise ValueError(f"n_elems must be positive, got {self.n_elems}")
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
-        if self.t_final < 0.0:
-            raise ValueError(f"t_final must be nonnegative, got {self.t_final}")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
-        if self.h is not None:
-            fem1d.elements_for_width(self.h)
+        fem1d.elements_for_width(self.h)
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        if self.fixed_dt is not None and not 0.0 < self.fixed_dt < math.inf:
+            raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
 
     @property
     def mesh_elems(self) -> int:
-        return self.n_elems if self.n_elems is not None else fem1d.elements_for_width(self.h)
+        return fem1d.elements_for_width(self.h)
 
     @property
     def width(self) -> float:
@@ -115,7 +112,7 @@ class RunConfig:
 
     @property
     def dt_min(self) -> float:
-        return self.dt_min_factor * self.dt0
+        return DT_MIN_FACTOR * self.dt0
 
 
 @dataclass(frozen=True)
@@ -214,14 +211,12 @@ def jacobian_apply(ops: FeOperators, state: State, dt: float, w: np.ndarray) -> 
     return ops.mass @ w - 0.5 * dt * g_dir
 
 
-def newton_solve(
-    ops: FeOperators, state_n: State, dt: float, config: RunConfig
-) -> tuple[State, int]:
+def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, int]:
     """Solve the step equations starting from the stored state.
 
     Iterates on the stacked fields (v, e, f_r, e_r) with the coupled
     residual from the module docstring; convergence is declared when its
-    norm falls below newton_tol * max(initial residual, |M v_n|).  At
+    norm falls below NEWTON_TOL * max(initial residual, |M v_n|).  At
     the consistent starting point the constitutive rows vanish, so the
     initial residual equals the Crank-Nicolson dynamics residual and the
     converged iterate satisfies the one-field convergence criterion a
@@ -233,7 +228,8 @@ def newton_solve(
     count.  Raises StepFailure("newton_divergence") on stagnation,
     non-finite residuals, or running out of iterations, and
     StepFailure("singular_weighted_mass") when the block Jacobian
-    cannot be factored (its only degeneracy source is W).
+    cannot be factored (its only degeneracy source is W); either
+    carries the number of Newton matrices built before giving up.
     """
     M = ops.mass
     D = ops.convection
@@ -277,7 +273,7 @@ def newton_solve(
     res = float(np.linalg.norm(F))
     if not np.isfinite(res):
         raise StepFailure("newton_divergence")
-    tol = config.newton_tol * max(res, float(np.linalg.norm(M @ state_n.v)), 1e-300)
+    tol = NEWTON_TOL * max(res, float(np.linalg.norm(M @ state_n.v)), 1e-300)
     for iters in range(NEWTON_MAX_ITER):
         if res <= tol:
             return unpack(z), iters
@@ -285,10 +281,10 @@ def newton_solve(
         try:
             lu = scipy.sparse.linalg.splu(A)
         except RuntimeError as exc:
-            raise StepFailure("singular_weighted_mass") from exc
+            raise StepFailure("singular_weighted_mass", iters + 1) from exc
         delta = lu.solve(-F)
         if not np.all(np.isfinite(delta)):
-            raise StepFailure("newton_divergence")
+            raise StepFailure("newton_divergence", iters + 1)
         lam = 1.0
         accepted = False
         for _ in range(30):
@@ -301,10 +297,10 @@ def newton_solve(
                 break
             lam *= 0.5
         if not accepted:
-            raise StepFailure("newton_divergence")
+            raise StepFailure("newton_divergence", iters + 1)
     if res <= tol:
         return unpack(z), NEWTON_MAX_ITER
-    raise StepFailure("newton_divergence")
+    raise StepFailure("newton_divergence", NEWTON_MAX_ITER)
 
 
 @dataclass
@@ -337,14 +333,14 @@ def adaptive_advance(
         clamped = controller.dt >= config.t_final - state.t
         dt = min(controller.dt, config.t_final - state.t)
         try:
-            new_state, iters = newton_solve(ops, state, dt, config)
+            new_state, iters = newton_solve(ops, state, dt)
         except StepFailure as fail:
             if config.fixed_dt is not None:
-                return state, StepOutcome(False, dt, NEWTON_MAX_ITER, fail.reason)
+                return state, StepOutcome(False, dt, fail.newton_iters, fail.reason)
             controller.streak = 0
             controller.dt *= DT_SHRINK
             if controller.dt < config.dt_min:
-                return state, StepOutcome(False, dt, NEWTON_MAX_ITER, "dt_underflow")
+                return state, StepOutcome(False, dt, fail.newton_iters, "dt_underflow")
             continue
         if clamped:
             new_state = dataclasses.replace(new_state, t=config.t_final)

@@ -39,12 +39,14 @@ class StepFailure(Exception):
     """A constitutive or nonlinear solve could not proceed.
 
     Carries a machine-readable ``reason`` so the adaptive controller can
-    log why a step was rejected.
+    log why a step was rejected, and ``newton_iters``, the number of
+    Newton matrices built before the failure (0 when none was).
     """
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, newton_iters: int = 0):
         super().__init__(reason)
         self.reason = reason
+        self.newton_iters = newton_iters
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,20 +38,26 @@ SNAPSHOT_HEADER = ("x", "v", "e", "e_r")
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian study grid; defaults match the full stability study."""
+    """Cartesian study grid; defaults match the full stability study.
+
+    Every cell runs to the horizon ``t_final``.  All values must be
+    finite; the comparisons are written so that NaN fails them.
+    """
 
     alphas: tuple = (0.5, 1.0, 2.0)
     betas: tuple = (0.0, 1.0, 2.0, 5.0)
     hs: tuple = (5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2)
-    overrides: dict = field(default_factory=dict)
+    t_final: float = RunConfig.t_final
 
     def __post_init__(self):
-        if any(a <= 0 for a in self.alphas):
-            raise ValueError("alphas must be positive")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("betas must be nonnegative")
-        if any(h <= 0 for h in self.hs):
-            raise ValueError("element widths must be positive")
+        if not all(0 < a < math.inf for a in self.alphas):
+            raise ValueError("alphas must be positive and finite")
+        if not all(0 <= b < math.inf for b in self.betas):
+            raise ValueError("betas must be nonnegative and finite")
+        if not all(0 < h < math.inf for h in self.hs):
+            raise ValueError("element widths must be positive and finite")
+        if not 0 <= self.t_final < math.inf:
+            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
 
     def cells(self) -> list[tuple[float, float, float]]:
         return [(a, b, h) for a in self.alphas for b in self.betas for h in self.hs]
@@ -86,9 +93,9 @@ def cell_tag(alpha: float, beta: float, h: float) -> str:
 
 
 def _run_cell(payload) -> SweepCell:
-    alpha, beta, h, overrides, out_dir = payload
+    alpha, beta, h, t_final, out_dir = payload
     try:
-        config = RunConfig(h=h, alpha=alpha, beta=beta, **overrides)
+        config = RunConfig(h=h, alpha=alpha, beta=beta, t_final=t_final)
         result = run_simulation(config)
     except Exception as exc:  # a bad cell must not poison the sweep
         return SweepCell(alpha, beta, h, float("nan"), float("nan"), 0,
@@ -112,7 +119,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
         workers = os.cpu_count() or 1
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    payloads = [(a, b, h, dict(grid.overrides), os.fspath(out_dir) if out_dir else None)
+    payloads = [(a, b, h, grid.t_final, os.fspath(out_dir) if out_dir else None)
                 for (a, b, h) in grid.cells()]
     if workers <= 1 or len(payloads) <= 1:
         cells = [_run_cell(p) for p in payloads]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import record_line
+from conftest import dense_projection_oracle, record_line
 from phburgers import diagnostics, fem1d, integrator, phsystem
 
 
@@ -61,31 +61,6 @@ def test_ac01_structural_exactness():
 
 
 # ---------------------------------------------------------------------- 2
-
-
-def dense_projection_oracle(n_elems, v):
-    """Dense-quadrature, dense-solve co-state projection, built from scratch."""
-    shapes = [
-        lambda s: (1.0 - s) * (1.0 - 2.0 * s),
-        lambda s: 4.0 * s * (1.0 - s),
-        lambda s: s * (2.0 * s - 1.0),
-    ]
-    pts, wts = np.polynomial.legendre.leggauss(8)
-    pts, wts = 0.5 * (pts + 1.0), 0.5 * wts
-    h = 1.0 / n_elems
-    n_nodes = 2 * n_elems + 1
-    full = np.zeros(n_nodes)
-    full[1:-1] = v
-    M = np.zeros((n_nodes, n_nodes))
-    N = np.zeros(n_nodes)
-    for k in range(n_elems):
-        idx = [2 * k, 2 * k + 1, 2 * k + 2]
-        for q, w in zip(pts, wts):
-            phi = np.array([s(q) for s in shapes])
-            vq = float(full[idx] @ phi)
-            M[np.ix_(idx, idx)] += h * w * np.outer(phi, phi)
-            N[idx] += h * w * phi * 0.5 * vq * vq
-    return np.linalg.solve(M[1:-1, 1:-1], N[1:-1])
 
 
 def test_ac02_projection_oracle():

@@ -81,6 +81,8 @@ def test_grid_validation_and_cells_order():
         sweep.SweepGrid(betas=(-1.0,))
     with pytest.raises(ValueError):
         sweep.SweepGrid(hs=(0.0,))
+    with pytest.raises(ValueError):
+        sweep.SweepGrid(alphas=(float("nan"),))
 
 
 def test_default_grid_matches_study():
@@ -100,8 +102,7 @@ def test_cell_tag_is_unique_per_cell():
 
 
 def test_sweep_cell_agrees_with_direct_run(tmp_path):
-    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.05,),
-                           overrides={"t_final": 0.1})
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.05,), t_final=0.1)
     result = sweep.run_sweep(grid, workers=1, out_dir=tmp_path)
     cell = result.cell(1.0, 0.0, 0.05)
     direct = integrator.run_simulation(
@@ -116,8 +117,7 @@ def test_sweep_cell_agrees_with_direct_run(tmp_path):
 
 
 def test_sweep_worker_pool_matches_inline():
-    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0, 1.0), hs=(0.05,),
-                           overrides={"t_final": 0.05})
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0, 1.0), hs=(0.05,), t_final=0.05)
     inline = sweep.run_sweep(grid, workers=1)
     pooled = sweep.run_sweep(grid, workers=2)
     for a, b in zip(inline.cells, pooled.cells):
@@ -275,6 +275,7 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["nope"]) == 1
     assert cli.main(["run", "--h", "0.3"]) == 1
     assert cli.main(["run", "--h", "0.1", "--n-elems", "10"]) == 1
+    assert cli.main(["run", "--h", "0"]) == 1
     capsys.readouterr()
 
 
@@ -304,6 +305,7 @@ def test_cli_sweep_writes_table(tmp_path, capsys):
     table = sweep.parse_table_csv((tmp_path / "table.csv").read_text())
     assert len(table.cells) == 1
     assert table.cells[0].termination == "completed"
+    assert table.cells[0].t_final == 0.1
     assert "sweep: 1 cells, 0 errored" in capsys.readouterr().err
 
 

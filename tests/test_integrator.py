@@ -22,23 +22,31 @@ def pulse_state(ops, nu=0.0):
 # ---------------------------------------------------------------- config
 
 
-def test_config_requires_exactly_one_mesh_spec():
-    with pytest.raises(ValueError):
-        integrator.RunConfig()
-    with pytest.raises(ValueError):
-        integrator.RunConfig(n_elems=10, h=0.1)
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_elems=0),
-    dict(n_elems=10, alpha=0.0),
-    dict(n_elems=10, alpha=-1.0),
-    dict(n_elems=10, beta=-0.5),
-    dict(n_elems=10, t_final=-1.0),
-    dict(n_elems=10, fixed_dt=0.0),
+    dict(h=0.0),
+    dict(h=0.1, alpha=0.0),
+    dict(h=0.1, alpha=-1.0),
+    dict(h=0.1, beta=-0.5),
+    dict(h=0.1, t_final=-1.0),
+    dict(h=0.1, fixed_dt=0.0),
     dict(h=0.3),
+    dict(h=-0.1),
+    dict(h=NAN),
+    dict(h=INF),
+    dict(h=0.1, alpha=NAN),
+    dict(h=0.1, alpha=INF),
+    dict(h=0.1, beta=NAN),
+    dict(h=0.1, beta=INF),
+    dict(h=0.1, t_final=NAN),
+    dict(h=0.1, t_final=INF),
+    dict(h=0.1, fixed_dt=NAN),
+    dict(h=0.1, fixed_dt=INF),
 ])
 def test_config_rejects_bad_values(kwargs):
+    # construction only: a NaN alpha that got through would never finish a run
     with pytest.raises(ValueError):
         integrator.RunConfig(**kwargs)
 
@@ -51,7 +59,7 @@ def test_config_derived_quantities():
     assert cfg.dt0 == pytest.approx(0.02)
     assert cfg.dt_cap == pytest.approx(8.0 * cfg.dt0)
     assert cfg.dt_min == pytest.approx(cfg.dt0 / 4096.0)
-    assert integrator.RunConfig(n_elems=40).width == pytest.approx(0.025)
+    assert integrator.RunConfig(h=0.025).mesh_elems == 40
 
 
 # ----------------------------------------------------------- cn_residual
@@ -78,8 +86,7 @@ def test_cn_residual_raises_on_singular_trial_weight():
 def test_newton_zero_dt_returns_start_state():
     ops = make_ops(10)
     st = pulse_state(ops)
-    cfg = integrator.RunConfig(n_elems=10)
-    out, iters = integrator.newton_solve(ops, st, 0.0, cfg)
+    out, iters = integrator.newton_solve(ops, st, 0.0)
     assert iters == 0
     np.testing.assert_array_equal(out.v, st.v)
 
@@ -89,39 +96,37 @@ def test_single_element_step_is_identity(nu):
     # one interior basis function: D = R = [0], so nothing moves
     ops = make_ops(1)
     st = phsystem.make_state(ops, np.array([0.8]), nu=nu)
-    cfg = integrator.RunConfig(n_elems=1, beta=0.0 if nu == 0.0 else 1.0)
-    out, iters = integrator.newton_solve(ops, st, 0.1, cfg)
+    out, iters = integrator.newton_solve(ops, st, 0.1)
     assert iters == 0
     np.testing.assert_array_equal(out.v, st.v)
     assert out.t == pytest.approx(0.1)
 
 
-def test_newton_postcondition_on_step_residual():
+def test_newton_postcondition_on_step_residual(monkeypatch):
     # converged iterate satisfies the dynamics-residual bound used as the
     # acceptance contract: |F(v)| <= tol * max(|F(v_n)|, |M v_n|)
+    monkeypatch.setattr(integrator, "NEWTON_TOL", 1e-10)
     ops = make_ops(16)
     rng = np.random.default_rng(5)
     for nu in (0.0, 2e-2):
         v = rng.uniform(0.4, 1.4, ops.mesh.n_interior)
         st = phsystem.make_state(ops, v, nu=nu)
-        cfg = integrator.RunConfig(n_elems=16, beta=0.0 if nu == 0.0 else 1.0,
-                                   newton_tol=1e-10)
         dt = 1e-3
-        out, iters = integrator.newton_solve(ops, st, dt, cfg)
+        out, iters = integrator.newton_solve(ops, st, dt)
         assert 0 < iters <= integrator.NEWTON_MAX_ITER
         res = np.linalg.norm(integrator.cn_residual(ops, st, out.v, dt))
         res0 = np.linalg.norm(integrator.cn_residual(ops, st, st.v, dt))
-        bound = cfg.newton_tol * max(res0, np.linalg.norm(ops.mass @ st.v))
+        bound = integrator.NEWTON_TOL * max(res0, np.linalg.norm(ops.mass @ st.v))
         assert res <= bound
 
 
-def test_newton_matches_generic_root_finder():
+def test_newton_matches_generic_root_finder(monkeypatch):
     # independent solve of the same step equations via scipy's hybrd
+    monkeypatch.setattr(integrator, "NEWTON_TOL", 1e-13)
     ops = make_ops(10)
     st = pulse_state(ops)
     dt = 0.02
-    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-13)
-    out, _ = integrator.newton_solve(ops, st, dt, cfg)
+    out, _ = integrator.newton_solve(ops, st, dt)
 
     sol = scipy.optimize.root(
         lambda v: integrator.cn_residual(ops, st, v, dt), st.v, tol=1e-13)
@@ -131,11 +136,11 @@ def test_newton_matches_generic_root_finder():
 
 def test_newton_runs_out_of_iterations(monkeypatch):
     monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(integrator, "NEWTON_TOL", 1e-14)
     ops = make_ops(10)
     st = pulse_state(ops)
-    cfg = integrator.RunConfig(n_elems=10, newton_tol=1e-14)
     with pytest.raises(phsystem.StepFailure) as exc:
-        integrator.newton_solve(ops, st, 0.05, cfg)
+        integrator.newton_solve(ops, st, 0.05)
     assert exc.value.reason == "newton_divergence"
 
 
@@ -226,7 +231,7 @@ def test_newton_matrix_is_bitwise_the_bmat_stack(n_elems, nu, kind):
 def test_adaptive_advance_records_accepted_step():
     ops = make_ops(10)
     st = phsystem.make_state(ops, np.zeros(ops.mesh.n_interior))
-    cfg = integrator.RunConfig(n_elems=10)
+    cfg = integrator.RunConfig(h=0.1)
     ledger = diagnostics.PowerLedger()
     ledger.record(ops.mesh, st, 0.0, 0)
     ctrl = integrator.make_controller(cfg)
@@ -329,6 +334,33 @@ def test_wall_zone_sign_change_is_flagged():
     assert run.termination_reason == "completed"
     assert run.flags == ("negative_velocity",)
     assert np.min(run.snapshots[-1].v) < 0.0
+
+
+def test_failed_attempts_report_their_newton_matrix_count(monkeypatch):
+    # each failed attempt of this cell reports how many Newton matrices it
+    # built, which for some attempts is fewer than the iteration limit
+    built = [0]
+    failures = []
+    newton_matrix, newton_solve = integrator._newton_matrix, integrator.newton_solve
+
+    def counting_matrix(*args):
+        built[0] += 1
+        return newton_matrix(*args)
+
+    def recording_solve(*args):
+        built[0] = 0
+        try:
+            return newton_solve(*args)
+        except phsystem.StepFailure as fail:
+            failures.append((built[0], fail.newton_iters))
+            raise
+
+    monkeypatch.setattr(integrator, "_newton_matrix", counting_matrix)
+    monkeypatch.setattr(integrator, "newton_solve", recording_solve)
+    run = integrator.run_simulation(integrator.RunConfig(h=1e-2, alpha=0.5, beta=5.0))
+    assert run.termination_reason == "dt_underflow"
+    assert failures and all(count == reported for count, reported in failures)
+    assert min(count for count, _ in failures) < integrator.NEWTON_MAX_ITER
 
 
 def test_fixed_dt_stops_on_first_failure():

@@ -3,37 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import dense_projection_oracle
 from phburgers import fem1d, phsystem
-
-
-def dense_projection_oracle(n_elems, v):
-    """Project v_d^2/2 onto the interior P2 space with dense numpy only.
-
-    Rebuilds the shape functions and an 8-point Gauss rule from scratch so
-    the check shares nothing with the assembly code under test.
-    """
-    shapes = [
-        lambda s: (1.0 - s) * (1.0 - 2.0 * s),
-        lambda s: 4.0 * s * (1.0 - s),
-        lambda s: s * (2.0 * s - 1.0),
-    ]
-    pts, wts = np.polynomial.legendre.leggauss(8)
-    pts = 0.5 * (pts + 1.0)
-    wts = 0.5 * wts
-    h = 1.0 / n_elems
-    n_nodes = 2 * n_elems + 1
-    full = np.zeros(n_nodes)
-    full[1:-1] = v
-    M = np.zeros((n_nodes, n_nodes))
-    N = np.zeros(n_nodes)
-    for k in range(n_elems):
-        idx = [2 * k, 2 * k + 1, 2 * k + 2]
-        for q, w in zip(pts, wts):
-            phi = np.array([s(q) for s in shapes])
-            vq = float(full[idx] @ phi)
-            M[np.ix_(idx, idx)] += h * w * np.outer(phi, phi)
-            N[idx] += h * w * phi * 0.5 * vq * vq
-    return np.linalg.solve(M[1:-1, 1:-1], N[1:-1])
 
 
 @pytest.mark.parametrize("n_elems", [3, 10])

@@ -1,15 +1,19 @@
-"""Digest of the files and messages of two reference command-line runs.
+"""Digest of the files and messages of four reference command-line runs.
 
-Runs, from the ``src/`` of the checkout this script sits in,
+Runs, from the ``src/`` of the checkout this script sits in and inside a
+temporary directory,
 
     phburgers sweep --hs 0.01               (table and 12 ledgers)
     phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
+    phburgers run --config run.cfg          (h, alpha, beta, t_final, snapshots)
+    phburgers sweep --hs 0.05 --t-final 0.1 --format text --workers 1
 
-each into its own directory under a temporary directory.  Prints one
-``sha256  relative/path`` line per output file, sorted, then each
-command's exit code and stderr with the temporary directory replaced by
-``<out>``.  Two checkouts produced the same bytes and said the same
-thing exactly when their listings are equal:
+each into its own output directory there; ``run.cfg`` is written into
+the temporary directory first.  Prints one ``sha256  relative/path``
+line per file, sorted, then each command's exit code and stderr with
+the temporary directory replaced by ``<out>``.  Two checkouts produced
+the same bytes and said the same thing exactly when their listings are
+equal:
 
     python3 tools/output_digest.py > before.txt    # in one checkout
     python3 tools/output_digest.py > after.txt     # in the other
@@ -29,9 +33,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+CONFIG_NAME = "run.cfg"
+CONFIG_TEXT = "h = 0.05\nalpha = 0.5\nbeta = 2\nt_final = 0.2\nsnapshots = 5\n"
+
 COMMANDS = (
     ("sweep", ["sweep", "--hs", "0.01"]),
     ("run", ["run", "--h", "1e-3", "--beta", "1"]),
+    ("run_config", ["run", "--config", CONFIG_NAME]),
+    ("sweep_text", ["sweep", "--hs", "0.05", "--t-final", "0.1", "--format", "text",
+                    "--workers", "1"]),
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -41,11 +51,12 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, CONFIG_NAME).write_text(CONFIG_TEXT)
         messages = []
         for name, args in COMMANDS:
             proc = subprocess.run(
                 [sys.executable, "-c", MAIN, *args, "--out-dir", os.path.join(tmp, name)],
-                env=env, capture_output=True, text=True)
+                cwd=tmp, env=env, capture_output=True, text=True)
             messages.append(f"{name}: exit {proc.returncode}")
             messages += [f"{name}: {line.replace(tmp, '<out>')}"
                          for line in proc.stderr.splitlines()]
