@@ -31,9 +31,9 @@ from .integrator import (
     StepFailure,
     StepOutcome,
     adaptive_advance,
-    cn_residual,
     newton_solve,
     run_simulation,
+    step_residual,
 )
 from .diagnostics import (
     PowerLedger,
@@ -68,9 +68,9 @@ __all__ = [
     "StepFailure",
     "StepOutcome",
     "adaptive_advance",
-    "cn_residual",
     "newton_solve",
     "run_simulation",
+    "step_residual",
     "PowerLedger",
     "balance_variation",
     "characteristics_l2_error",

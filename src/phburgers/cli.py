@@ -13,7 +13,8 @@ goes only to files (the `oracle` subcommand prints its requested values
 to stdout, which are its data).
 
 Options may also come from a flat key=value config file via --config;
-explicit flags win over file entries.
+explicit flags win over file entries, and a key the subcommand has no
+flag for is a usage error.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ _CONFIG_TYPES = {
 }
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, args: argparse.Namespace) -> dict:
+    """Values of the file's keys; each must be one the subcommand has a flag for."""
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -86,6 +88,8 @@ def _parse_config_file(path: str) -> dict:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if not hasattr(args, key):
+            raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
         try:
             values[key] = _CONFIG_TYPES[key](text)
         except ValueError as exc:
@@ -97,8 +101,8 @@ def _merge_config(args: argparse.Namespace) -> None:
     """Fill flag values that were not given from the config file, if any."""
     if not getattr(args, "config", None):
         return
-    for key, value in _parse_config_file(args.config).items():
-        if getattr(args, key, None) is None and hasattr(args, key):
+    for key, value in _parse_config_file(args.config, args).items():
+        if getattr(args, key) is None:
             setattr(args, key, value)
 
 
@@ -174,12 +178,12 @@ def _cmd_sweep(args) -> int:
     for key in ("alphas", "betas", "hs", "t_final"):
         if getattr(args, key) is not None:
             grid_kwargs[key] = getattr(args, key)
+    out_dir = Path(args.out_dir or "phburgers_out")
     try:
         grid = SweepGrid(**grid_kwargs)
-    except ValueError as exc:
+        result = run_sweep(grid, workers=args.workers, out_dir=out_dir)
+    except ValueError as exc:  # a bad value, found before any cell runs
         raise UsageError(str(exc)) from exc
-    out_dir = Path(args.out_dir or "phburgers_out")
-    result = run_sweep(grid, workers=args.workers, out_dir=out_dir)
     fmt = args.format or "csv"
     path = out_dir / ("table.csv" if fmt == "csv" else "table.txt")
     atomic_write_text(path, emit_table(result, fmt))

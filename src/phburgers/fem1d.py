@@ -321,26 +321,27 @@ def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:
     return full[mesh.interior_to_global]
 
 
+def _evaluate(mesh: Mesh1D, coeffs: np.ndarray, x, basis):
+    """The expansion with reference shape functions ``basis``, at x in [0, 1].
+
+    An array x, even of length 1, gives an array; a scalar x a scalar.
+    """
+    full = as_full_vector(mesh, coeffs)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    elem = np.clip((xs / mesh.h).astype(int), 0, mesh.n_elems - 1)
+    xi = xs / mesh.h - elem
+    vals = np.einsum("pa,ap->p", full[mesh.cells[elem]], basis(xi))
+    return vals if np.ndim(x) else vals[0]
+
+
 def evaluate(mesh: Mesh1D, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the P2 expansion at arbitrary points of [0, 1]."""
-    full = as_full_vector(mesh, coeffs)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    elem = np.clip((x / mesh.h).astype(int), 0, mesh.n_elems - 1)
-    xi = x / mesh.h - elem
-    phi = _reference_basis(xi)                      # (3, npts)
-    vals = np.einsum("pa,ap->p", full[mesh.cells[elem]], phi)
-    return vals if vals.size > 1 else vals[0]
+    return _evaluate(mesh, coeffs, x, _reference_basis)
 
 
 def evaluate_derivative(mesh: Mesh1D, coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the spatial derivative of the P2 expansion at points of [0, 1]."""
-    full = as_full_vector(mesh, coeffs)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    elem = np.clip((x / mesh.h).astype(int), 0, mesh.n_elems - 1)
-    xi = x / mesh.h - elem
-    dphi = _reference_basis_deriv(xi)
-    vals = np.einsum("pa,ap->p", full[mesh.cells[elem]], dphi) / mesh.h
-    return vals if vals.size > 1 else vals[0]
+    return _evaluate(mesh, coeffs, x, _reference_basis_deriv) / mesh.h
 
 
 def interpolate(mesh: Mesh1D, profile) -> np.ndarray:

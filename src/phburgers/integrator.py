@@ -1,7 +1,8 @@
 r"""Crank-Nicolson integration with Newton and adaptive time steps.
 
 One step drives the coupled residual of the dynamics row and the
-constitutive rows to zero at the end of the step,
+constitutive rows to zero at the end of the step.  step_residual
+builds it, the package's only step residual:
 
     F(v, e, f, e_r) = [ M (v - v_n) - (dt/2) (D e - R e_r + g_n) ]
                       [ M e - N(v)                               ]
@@ -9,8 +10,8 @@ constitutive rows to zero at the end of the step,
                       [ W(v) e_r - nu M f                        ]
 
 with g_n = (D e - R e_r) evaluated at the stored start-of-step state.
-Newton updates all four fields together; the Jacobian is the sparse
-block matrix
+Newton updates all four fields together; its Jacobian, assembled by
+_newton_matrix and factored by SuperLU, is the sparse block matrix
 
     [ M        -(dt/2) D   0       (dt/2) R ]
     [ -W(v)     M          0       0        ]
@@ -23,8 +24,8 @@ form: W(dv) e_r = W(e_r) dv.  Working on the coupled residual keeps
 every evaluation polynomial in the unknowns; no weighted-mass solve
 sits on the iteration path, which matters because W(v) is nearly
 singular wherever v_d nearly vanishes (the boundary zones of the pulse
-data).  The semi-discrete solution set is the same as for the
-eliminated one-field iteration.
+data).  Eliminating e, f_r and e_r by the constitutive solves gives a
+one-field residual in v with the same solution set.
 
 The step controller scales dt by DT_SHRINK on any failure (Newton
 stagnation, non-finite residual, singular W) and by DT_GROWTH after
@@ -89,6 +90,8 @@ class RunConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < math.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
+        if self.n_snapshots < 0:
+            raise ValueError(f"n_snapshots must be nonnegative, got {self.n_snapshots}")
 
     @property
     def mesh_elems(self) -> int:
@@ -125,16 +128,45 @@ class StepOutcome:
     failure_reason: str | None = None
 
 
-def cn_residual(ops: FeOperators, state_n: State, v_trial: np.ndarray, dt: float) -> np.ndarray:
-    """Crank-Nicolson residual F(v_trial) for one step from ``state_n``.
+def step_residual(ops: FeOperators, state_n: State, dt: float):
+    """The coupled residual F(z) of one step from ``state_n``.
 
-    Re-solves the constitutive relations at the trial point, so a
-    singular W(v_trial) surfaces as StepFailure.
+    Returns F as a function of the stacked fields z = (v, e, f_r, e_r),
+    or z = (v, e) in the inviscid case, with the rows of the module
+    docstring; g_n is computed once, here.  Every evaluation is
+    polynomial in z, so F stays finite where W(v) is singular.
     """
+    M, D, R, mesh = ops.mass, ops.convection, ops.gradient, ops.mesh
+    v_n, nu = state_n.v, state_n.nu
     g_n = phsystem.structure_apply(ops, state_n)
-    trial = phsystem.make_state(ops, v_trial, nu=state_n.nu, t=state_n.t + dt)
-    g_t = phsystem.structure_apply(ops, trial)
-    return ops.mass @ (trial.v - state_n.v) - 0.5 * dt * (g_t + g_n)
+    if not state_n.viscous:
+        def residual(z):
+            v, e = np.split(z, 2)
+            return np.concatenate([
+                M @ (v - v_n) - 0.5 * dt * (D @ e + g_n),
+                M @ e - fem1d.assemble_quadratic_load(mesh, v),
+            ])
+        return residual
+
+    def residual(z):
+        v, e, f, r = np.split(z, 4)
+        De = D @ e  # bitwise R^T e
+        return np.concatenate([
+            M @ (v - v_n) - 0.5 * dt * (De - R @ r + g_n),
+            M @ e - fem1d.assemble_quadratic_load(mesh, v),
+            M @ f - De,
+            fem1d.assemble_weighted_mass(mesh, v) @ r - nu * (M @ f),
+        ])
+    return residual
+
+
+def _stacked_state(z: np.ndarray, nu: float, t: float) -> State:
+    """The State whose fields are the stacked fields z of step_residual."""
+    if nu > 0.0:
+        v, e, f, r = np.split(z, 4)
+    else:
+        (v, e), f, r = np.split(z, 2), np.empty(0), np.empty(0)
+    return State(t=t, v=v, e=e, f_r=f, e_r=r, nu=nu)
 
 
 def _newton_layout(m, d, r, rt, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
@@ -194,90 +226,37 @@ def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.cs
     return scipy.sparse.csc_matrix((data[source], indices, indptr), shape=(n, n))
 
 
-def jacobian_apply(ops: FeOperators, state: State, dt: float, w: np.ndarray) -> np.ndarray:
-    """Directional derivative dF/dv applied to ``w`` at a consistent state.
-
-    Matrix-free version of the eliminated block system, used to check
-    the assembled Newton matrix against finite differences.
-    """
-    de = ops.solve_mass(fem1d.assemble_weighted_mass(ops.mesh, state.v) @ w)
-    g_dir = ops.convection @ de
-    if state.viscous:
-        df = ops.solve_mass(ops.gradient.T @ de)
-        Wr = fem1d.assemble_weighted_mass(ops.mesh, state.e_r)
-        lu = phsystem.weighted_mass_factor(ops, state.v)
-        dr = lu.solve(state.nu * (ops.mass @ df) - Wr @ w)
-        g_dir = g_dir - ops.gradient @ dr
-    return ops.mass @ w - 0.5 * dt * g_dir
-
-
 def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, int]:
     """Solve the step equations starting from the stored state.
 
-    Iterates on the stacked fields (v, e, f_r, e_r) with the coupled
-    residual from the module docstring; convergence is declared when its
-    norm falls below NEWTON_TOL * max(initial residual, |M v_n|).  At
-    the consistent starting point the constitutive rows vanish, so the
-    initial residual equals the Crank-Nicolson dynamics residual and the
-    converged iterate satisfies the one-field convergence criterion a
-    fortiori.  Full Newton steps are damped by a backtracking line
-    search on |F|: the constitutive relation degenerates wherever v_d
-    nearly vanishes (the boundary zones of the pulse data), and an
-    undamped update can overshoot through that region even though the
-    Jacobian is exact.  Returns the end-of-step state and the iteration
-    count.  Raises StepFailure("newton_divergence") on stagnation,
-    non-finite residuals, or running out of iterations, and
+    Iterates on the stacked fields (v, e, f_r, e_r) with step_residual;
+    convergence is declared when its norm falls below NEWTON_TOL *
+    max(initial residual, |M v_n|).  At the consistent starting point
+    the constitutive rows vanish, so the initial residual equals the
+    Crank-Nicolson dynamics residual.  Full Newton steps are damped by
+    a backtracking line search on |F|: the constitutive relation
+    degenerates wherever v_d nearly vanishes (the boundary zones of the
+    pulse data), and an undamped update can overshoot through that
+    region even though the Jacobian is exact.  Returns the end-of-step
+    state and the iteration count.  Raises
+    StepFailure("newton_divergence") on stagnation, non-finite
+    residuals, or running out of iterations, and
     StepFailure("singular_weighted_mass") when the block Jacobian
     cannot be factored (its only degeneracy source is W); either
     carries the number of Newton matrices built before giving up.
     """
-    M = ops.mass
-    D = ops.convection
-    R = ops.gradient
-    mesh = ops.mesh
-    nu = state_n.nu
-    viscous = state_n.viscous
-    g_n = phsystem.structure_apply(ops, state_n)
-
-    if viscous:
-        def residual(z):
-            v, e, f, r = np.split(z, 4)
-            De = D @ e  # bitwise R^T e
-            return np.concatenate([
-                M @ (v - state_n.v) - 0.5 * dt * (De - R @ r + g_n),
-                M @ e - fem1d.assemble_quadratic_load(mesh, v),
-                M @ f - De,
-                fem1d.assemble_weighted_mass(mesh, v) @ r - nu * (M @ f),
-            ])
-
-        z = np.concatenate([state_n.v, state_n.e, state_n.f_r, state_n.e_r])
-    else:
-        def residual(z):
-            v, e = np.split(z, 2)
-            return np.concatenate([
-                M @ (v - state_n.v) - 0.5 * dt * (D @ e + g_n),
-                M @ e - fem1d.assemble_quadratic_load(mesh, v),
-            ])
-
-        z = np.concatenate([state_n.v, state_n.e])
-
-    def unpack(z):
-        if viscous:
-            v, e, f, r = np.split(z, 4)
-        else:
-            v, e = np.split(z, 2)
-            f = r = np.empty(0)
-        return State(t=state_n.t + dt, v=v, e=e, f_r=f, e_r=r, nu=nu)
-
+    residual = step_residual(ops, state_n, dt)
+    z = np.concatenate([state_n.v, state_n.e, state_n.f_r, state_n.e_r])
+    t = state_n.t + dt
     F = residual(z)
     res = float(np.linalg.norm(F))
     if not np.isfinite(res):
         raise StepFailure("newton_divergence")
-    tol = NEWTON_TOL * max(res, float(np.linalg.norm(M @ state_n.v)), 1e-300)
+    tol = NEWTON_TOL * max(res, float(np.linalg.norm(ops.mass @ state_n.v)), 1e-300)
     for iters in range(NEWTON_MAX_ITER):
         if res <= tol:
-            return unpack(z), iters
-        A = _newton_matrix(ops, unpack(z), dt)
+            return _stacked_state(z, state_n.nu, t), iters
+        A = _newton_matrix(ops, _stacked_state(z, state_n.nu, t), dt)
         try:
             lu = scipy.sparse.linalg.splu(A)
         except RuntimeError as exc:
@@ -299,7 +278,7 @@ def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, in
         if not accepted:
             raise StepFailure("newton_divergence", iters + 1)
     if res <= tol:
-        return unpack(z), NEWTON_MAX_ITER
+        return _stacked_state(z, state_n.nu, t), NEWTON_MAX_ITER
     raise StepFailure("newton_divergence", NEWTON_MAX_ITER)
 
 

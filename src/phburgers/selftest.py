@@ -82,23 +82,26 @@ def _check_initial_functionals() -> Check:
 def _check_jacobian(rng: np.random.Generator) -> Check:
     ops = fem1d.assemble_operators(fem1d.build_mesh(8))
     v = rng.uniform(0.3, 1.0, ops.mesh.n_interior)
-    w = rng.standard_normal(ops.mesh.n_interior)
     dt = 2e-3
     worst_slope = 1.0
     for nu in (0.0, 0.02):
         st = phsystem.make_state(ops, v, nu=nu)
-        jw = integrator.jacobian_apply(ops, st, dt, w)
-        base = integrator.cn_residual(ops, st, st.v, dt)
+        F = integrator.step_residual(ops, st, dt)
+        z = np.concatenate([st.v, st.e, st.f_r, st.e_r])
+        d = rng.standard_normal(z.size)
+        jd = integrator._newton_matrix(ops, st, dt) @ d
+        base = F(z)
         eps_list = (1e-3, 1e-4, 1e-5, 1e-6)
         errs = []
         for eps in eps_list:
-            fd = (integrator.cn_residual(ops, st, st.v + eps * w, dt) - base) / eps
-            errs.append(np.linalg.norm(fd - jw))
+            fd = (F(z + eps * d) - base) / eps
+            errs.append(np.linalg.norm(fd - jd))
         slope = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
         if abs(slope - 1.0) > abs(worst_slope - 1.0):
             worst_slope = slope
     ok = abs(worst_slope - 1.0) <= 0.2
-    return ("jacobian: finite-difference slope", ok, f"worst slope {worst_slope:.3f}")
+    return ("jacobian: Newton matrix vs finite differences", ok,
+            f"worst slope {worst_slope:.3f}")
 
 
 def _check_characteristics() -> Check:

@@ -111,17 +111,22 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
               out_dir: str | os.PathLike | None = None) -> SweepResult:
     """Execute every cell of ``grid``; never raises for a failing cell.
 
-    ``workers`` > 1 distributes cells over processes; 1 (or a 1-cell
-    grid) runs inline.  When ``out_dir`` is given, each cell writes its
-    ledger CSV there under a unique name.
+    ``workers`` > 1 distributes cells over at most that many processes,
+    and never more than there are cells; 1 (or a 1-cell grid) runs
+    inline.  When ``out_dir`` is given, each cell writes its ledger CSV
+    there under a unique name.  Raises ValueError for ``workers`` < 1.
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     payloads = [(a, b, h, grid.t_final, os.fspath(out_dir) if out_dir else None)
                 for (a, b, h) in grid.cells()]
-    if workers <= 1 or len(payloads) <= 1:
+    # the pool starts all its processes at once, wanted or not
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         cells = [_run_cell(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

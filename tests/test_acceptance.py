@@ -275,14 +275,17 @@ def test_ac10_jacobian_finite_difference_slope():
         else:
             st = phsystem.make_state(ops, rng.uniform(0.2, 1.2, ops.mesh.n_interior),
                                      nu=1e-2)
-        w = rng.standard_normal(ops.mesh.n_interior)
-        jw = integrator.jacobian_apply(ops, st, dt, w)
-        f0 = integrator.cn_residual(ops, st, st.v, dt)
+        # the matrix SuperLU factors, against the residual it linearizes
+        F = integrator.step_residual(ops, st, dt)
+        z = np.concatenate([st.v, st.e, st.f_r, st.e_r])
+        d = rng.standard_normal(z.size)
+        jd = integrator._newton_matrix(ops, st, dt) @ d
+        f0 = F(z)
         eps = np.array([1e-4, 1e-5, 1e-6])
         errs = []
         for e in eps:
-            fd = (integrator.cn_residual(ops, st, st.v + e * w, dt) - f0) / e
-            errs.append(np.linalg.norm(fd - jw))
+            fd = (F(z + e * d) - f0) / e
+            errs.append(np.linalg.norm(fd - jd))
         slope = float(np.polyfit(np.log(eps), np.log(errs), 1)[0])
         slopes.append(slope)
         assert abs(slope - 1.0) <= 0.2, f"state {k}: slope {slope:.3f}"

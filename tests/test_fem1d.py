@@ -99,6 +99,17 @@ def test_interpolate_reproduces_quadratics():
                                1.0 - 2.0 * xs, rtol=0.0, atol=1e-13)
 
 
+@pytest.mark.parametrize("evaluate", [fem1d.evaluate, fem1d.evaluate_derivative])
+def test_evaluate_keeps_array_input_an_array(evaluate):
+    mesh = fem1d.build_mesh(4)
+    coeffs = fem1d.interpolate(mesh, lambda x: x * (1.0 - x))
+    one = evaluate(mesh, coeffs, np.array([0.3]))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    scalar = evaluate(mesh, coeffs, 0.3)
+    assert np.ndim(scalar) == 0 and scalar == one[0]
+    np.testing.assert_array_equal(evaluate(mesh, coeffs, [0.3, 0.7])[:1], one)
+
+
 def test_embed_and_restrict_roundtrip():
     mesh = fem1d.build_mesh(5)
     rng = np.random.default_rng(3)

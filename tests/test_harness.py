@@ -124,6 +124,53 @@ def test_sweep_worker_pool_matches_inline():
         assert a == b
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps inline."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_sweep_pool_is_capped_at_the_cell_count(monkeypatch, tmp_path, capsys):
+    # the pool forks all its workers at once, so asking for 64 must not start 64
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0, 1.0), hs=(0.05,), t_final=0.01)
+    assert len(sweep.run_sweep(grid, workers=64).cells) == 2
+    assert cli.main(["sweep", "--alphas", "1", "--betas", "0,1", "--hs", "0.05",
+                     "--t-final", "0.01", "--workers", "64",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert RecordingPool.sizes == [2, 2]
+    capsys.readouterr()
+
+
+def test_sweep_rejects_fewer_than_one_worker(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.05,), t_final=0.01)
+    with pytest.raises(ValueError, match="workers"):
+        sweep.run_sweep(grid, workers=0)
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("hs = 0.05\nworkers = -2\n")
+    out = tmp_path / "study"
+    assert cli.main(["sweep", "--hs", "0.05", "--workers", "0", "--out-dir", str(out)]) == 1
+    assert "workers must be at least 1, got 0" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert "workers must be at least 1, got -2" in capsys.readouterr().err
+    assert not out.exists() and RecordingPool.sizes == []
+
+
 def test_sweep_records_failing_cell_without_raising():
     grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.3,))
     result = sweep.run_sweep(grid, workers=1)
@@ -271,12 +318,16 @@ def test_cli_oracle_solution(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["nope"]) == 1
     assert cli.main(["run", "--h", "0.3"]) == 1
     assert cli.main(["run", "--h", "0.1", "--n-elems", "10"]) == 1
     assert cli.main(["run", "--h", "0"]) == 1
-    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["run", "--h", "0.1", "--t-final", "0.05", "--snapshots", "-3",
+                     "--out-dir", str(out)]) == 1
+    assert "n_snapshots must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):
@@ -344,6 +395,13 @@ def test_cli_config_file_errors(tmp_path, capsys):
     out = tmp_path / "study"
     assert cli.main(["sweep", "--config", str(fmt), "--out-dir", str(out)]) == 1
     assert f"{fmt}:2: bad value for format" in capsys.readouterr().err
+    assert not out.exists()
+    # a key of the other subcommand is refused, not silently dropped
+    foreign = tmp_path / "foreign.cfg"
+    foreign.write_text("h = 0.1\nt_final = 0.05\nhs = 0.5\nworkers = 3\n")
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(foreign), "--out-dir", str(out)]) == 1
+    assert f"{foreign}:3: run takes no key 'hs'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,7 +7,6 @@ import scipy.sparse
 
 from conftest import FIELD_KINDS, assert_bitwise_equal, sample_field
 from phburgers import diagnostics, fem1d, integrator, phsystem
-from phburgers.phsystem import State
 
 
 def make_ops(n_elems):
@@ -44,6 +43,7 @@ NAN, INF = float("nan"), float("inf")
     dict(h=0.1, t_final=INF),
     dict(h=0.1, fixed_dt=NAN),
     dict(h=0.1, fixed_dt=INF),
+    dict(h=0.1, n_snapshots=-3),
 ])
 def test_config_rejects_bad_values(kwargs):
     # construction only: a NaN alpha that got through would never finish a run
@@ -62,22 +62,42 @@ def test_config_derived_quantities():
     assert integrator.RunConfig(h=0.025).mesh_elems == 40
 
 
-# ----------------------------------------------------------- cn_residual
+# --------------------------------------------------------- step_residual
 
 
-def test_cn_residual_zero_at_rest():
+def stacked(state):
+    return np.concatenate([state.v, state.e, state.f_r, state.e_r])
+
+
+def eliminated_residual(ops, state_n, v, dt):
+    """One-field Crank-Nicolson residual in v, the constitutive rows solved away."""
+    g_n = phsystem.structure_apply(ops, state_n)
+    trial = phsystem.make_state(ops, v, nu=state_n.nu, t=state_n.t + dt)
+    g_t = phsystem.structure_apply(ops, trial)
+    return ops.mass @ (trial.v - state_n.v) - 0.5 * dt * (g_t + g_n)
+
+
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+def test_step_residual_zero_at_rest(nu):
+    # every field vanishes at rest, which is consistent in both modes
     ops = make_ops(8)
-    st = phsystem.make_state(ops, np.zeros(ops.mesh.n_interior))
-    F = integrator.cn_residual(ops, st, st.v, dt=0.05)
+    n = ops.mesh.n_interior
+    st = integrator._stacked_state(np.zeros((4 if nu else 2) * n), nu, 0.0)
+    F = integrator.step_residual(ops, st, dt=0.05)(stacked(st))
+    assert F.size == stacked(st).size
     assert np.all(F == 0.0)
 
 
-def test_cn_residual_raises_on_singular_trial_weight():
+def test_step_residual_is_finite_where_trial_weight_vanishes():
+    # no weighted-mass solve on the iteration path: W(0) = 0 is harmless
     ops = make_ops(6)
     rng = np.random.default_rng(0)
     st = phsystem.make_state(ops, rng.uniform(0.2, 1.2, ops.mesh.n_interior), nu=1e-2)
-    with pytest.raises(phsystem.StepFailure):
-        integrator.cn_residual(ops, st, np.zeros_like(st.v), dt=1e-3)
+    z = stacked(st)
+    z[:ops.mesh.n_interior] = 0.0
+    F = integrator.step_residual(ops, st, dt=1e-3)(z)
+    assert np.all(np.isfinite(F))
+    assert np.any(F != 0.0)
 
 
 # ----------------------------------------------------------- newton_solve
@@ -114,8 +134,8 @@ def test_newton_postcondition_on_step_residual(monkeypatch):
         dt = 1e-3
         out, iters = integrator.newton_solve(ops, st, dt)
         assert 0 < iters <= integrator.NEWTON_MAX_ITER
-        res = np.linalg.norm(integrator.cn_residual(ops, st, out.v, dt))
-        res0 = np.linalg.norm(integrator.cn_residual(ops, st, st.v, dt))
+        res = np.linalg.norm(eliminated_residual(ops, st, out.v, dt))
+        res0 = np.linalg.norm(eliminated_residual(ops, st, st.v, dt))
         bound = integrator.NEWTON_TOL * max(res0, np.linalg.norm(ops.mass @ st.v))
         assert res <= bound
 
@@ -129,7 +149,7 @@ def test_newton_matches_generic_root_finder(monkeypatch):
     out, _ = integrator.newton_solve(ops, st, dt)
 
     sol = scipy.optimize.root(
-        lambda v: integrator.cn_residual(ops, st, v, dt), st.v, tol=1e-13)
+        lambda v: eliminated_residual(ops, st, v, dt), st.v, tol=1e-13)
     assert sol.success
     assert np.linalg.norm(out.v - sol.x) <= 1e-9 * max(np.linalg.norm(sol.x), 1.0)
 
@@ -166,12 +186,15 @@ def coupled_residual(ops, state_n, dt, z):
     ])
 
 
-def stacked_state(z, nu, t=0.0):
-    if nu > 0.0:
-        v, e, f, r = np.split(z, 4)
-    else:
-        (v, e), f, r = np.split(z, 2), np.empty(0), np.empty(0)
-    return State(t=t, v=v, e=e, f_r=f, e_r=r, nu=nu)
+def taylor_point(nu, perturbed):
+    """Operators, start state, a stacked point and the generator that drew it."""
+    ops = make_ops(12)
+    state_n = pulse_state(ops, nu)
+    rng = np.random.default_rng(7)
+    z = stacked(state_n)
+    if perturbed:
+        z = z + 0.1 * np.abs(z).max() * rng.standard_normal(z.size)
+    return ops, state_n, z, rng
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -179,14 +202,9 @@ def stacked_state(z, nu, t=0.0):
 def test_newton_matrix_taylor_remainder_is_second_order(nu, perturbed):
     # F is polynomial in z, so |F(z + eps d) - F(z) - eps A d| = O(eps^2)
     # exactly when A is its Jacobian; a wrong block leaves an O(eps) term
-    ops = make_ops(12)
-    state_n = pulse_state(ops, nu)
-    rng = np.random.default_rng(7)
-    z = np.concatenate([state_n.v, state_n.e, state_n.f_r, state_n.e_r])
-    if perturbed:
-        z = z + 0.1 * np.abs(z).max() * rng.standard_normal(z.size)
+    ops, state_n, z, rng = taylor_point(nu, perturbed)
     dt = 0.05
-    A = integrator._newton_matrix(ops, stacked_state(z, nu), dt)
+    A = integrator._newton_matrix(ops, integrator._stacked_state(z, nu, 0.0), dt)
     d = rng.standard_normal(z.size)
     F0 = coupled_residual(ops, state_n, dt, z)
     eps = np.array([1e-1, 1e-2, 1e-3])
@@ -194,6 +212,18 @@ def test_newton_matrix_taylor_remainder_is_second_order(nu, perturbed):
            for s in eps]
     slopes = np.diff(np.log(rem)) / np.diff(np.log(eps))
     np.testing.assert_allclose(slopes, 2.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+def test_step_residual_is_bitwise_the_coupled_oracle(nu, perturbed):
+    # the residual Newton drives to zero is the one the Taylor test checks
+    ops, state_n, z, rng = taylor_point(nu, perturbed)
+    dt = 0.05
+    F = integrator.step_residual(ops, state_n, dt)
+    for point in (z, z + 1e-2 * rng.standard_normal(z.size)):
+        np.testing.assert_array_equal(F(point).view(np.int64),
+                                      coupled_residual(ops, state_n, dt, point).view(np.int64))
 
 
 def bmat_newton_matrix(ops, trial, dt):
@@ -220,7 +250,7 @@ def test_newton_matrix_is_bitwise_the_bmat_stack(n_elems, nu, kind):
     for dt in (0.0, 1e-3, 0.37):
         z = np.concatenate([sample_field(kind, rng, ops.mesh.n_interior)
                             for _ in range(n_fields)])
-        trial = stacked_state(z, nu)
+        trial = integrator._stacked_state(z, nu, 0.0)
         assert_bitwise_equal(integrator._newton_matrix(ops, trial, dt),
                              bmat_newton_matrix(ops, trial, dt))
 
