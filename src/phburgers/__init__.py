@@ -29,8 +29,6 @@ from .integrator import (
     RunConfig,
     RunResult,
     StepFailure,
-    StepOutcome,
-    adaptive_advance,
     newton_solve,
     run_simulation,
     step_residual,
@@ -66,8 +64,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "StepFailure",
-    "StepOutcome",
-    "adaptive_advance",
     "newton_solve",
     "run_simulation",
     "step_residual",

@@ -284,7 +284,7 @@ def detect_front(mesh: Mesh1D, v: np.ndarray, nu: float,
             f"steepest slope {-float(slopes[k]):.3g} below threshold {slope_threshold:.3g}"
         )
     x_front = float(xs[k])
-    vmax = float(np.max(np.abs(fem1d.as_full_vector(mesh, v))))
+    vmax = float(np.max(np.abs(fem1d.embed_interior(mesh, v))))
     layer = FRONT_EDGE_OFFSET * nu / max(vmax, 1e-300)
     x_l = min(max(x_front - layer, 0.0), 1.0)
     x_r = min(max(x_front + layer, 0.0), 1.0)

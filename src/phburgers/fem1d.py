@@ -208,23 +208,15 @@ def embed_interior(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
     return full
 
 
-def as_full_vector(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
-    """Accept interior- or full-length coefficients, return the full vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape == (mesh.n_nodes,):
-        return coeffs
-    return embed_interior(mesh, coeffs)
-
-
 def quadrature_values(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
-    """Values of the expansion at every quadrature point, shape (n_elems, 5)."""
-    full = as_full_vector(mesh, coeffs)
+    """Values of the interior expansion at every quadrature point, shape (n_elems, 5)."""
+    full = embed_interior(mesh, coeffs)
     return np.einsum("ea,aq->eq", full[mesh.cells], _PHI)
 
 
 def quadrature_derivatives(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
-    """Spatial derivative of the expansion at every quadrature point."""
-    full = as_full_vector(mesh, coeffs)
+    """Spatial derivative of the interior expansion at every quadrature point."""
+    full = embed_interior(mesh, coeffs)
     return np.einsum("ea,aq->eq", full[mesh.cells], _DPHI) / mesh.h
 
 
@@ -301,7 +293,7 @@ def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr
     nearly singular in the wall zones, where the step controller's
     decisions turn on the last bits of the factored matrices.
     """
-    wq = quadrature_values(mesh, embed_interior(mesh, weight))
+    wq = quadrature_values(mesh, weight)
     local = np.zeros((mesh.n_elems, 9))
     for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
         local += terms * wq[:, q, None]
@@ -314,7 +306,7 @@ def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:
     The integrand has degree 6, within the exactness of the 5-point rule,
     so N is homogeneous of degree 2 to rounding: N(a v) = a^2 N(v).
     """
-    vq = quadrature_values(mesh, embed_interior(mesh, v))
+    vq = quadrature_values(mesh, v)
     local = 0.5 * mesh.h * np.einsum("q,aq,eq->ea", _QW, _PHI, vq**2)
     full = np.zeros(mesh.n_nodes)
     np.add.at(full, mesh.cells.ravel(), local.ravel())
@@ -326,7 +318,7 @@ def _evaluate(mesh: Mesh1D, coeffs: np.ndarray, x, basis):
 
     An array x, even of length 1, gives an array; a scalar x a scalar.
     """
-    full = as_full_vector(mesh, coeffs)
+    full = embed_interior(mesh, coeffs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     elem = np.clip((xs / mesh.h).astype(int), 0, mesh.n_elems - 1)
     xi = xs / mesh.h - elem

@@ -27,13 +27,14 @@ singular wherever v_d nearly vanishes (the boundary zones of the pulse
 data).  Eliminating e, f_r and e_r by the constitutive solves gives a
 one-field residual in v with the same solution set.
 
-The step controller scales dt by DT_SHRINK on any failure (Newton
-stagnation, non-finite residual, singular W) and by DT_GROWTH after
-GROWTH_STREAK acceptances in a row of at most GROWTH_ITER_LIMIT Newton
-iterations each, capped at DT_CAP_FACTOR dt0; runs end early when dt
-falls below its floor DT_MIN_FACTOR dt0, which is how the inviscid
-fine-mesh configurations die at the shock.  Newton declares convergence
-at NEWTON_TOL relative to the residual scale (see newton_solve).
+The step loop of run_simulation scales dt by DT_SHRINK on any failure
+(Newton stagnation, non-finite residual, singular W) and by DT_GROWTH
+after GROWTH_STREAK acceptances in a row of at most GROWTH_ITER_LIMIT
+Newton iterations each, capped at DT_CAP_FACTOR dt0; runs end early
+when dt falls below its floor DT_MIN_FACTOR dt0, which is how the
+inviscid fine-mesh configurations die at the shock.  Newton declares
+convergence at NEWTON_TOL relative to the residual scale (see
+newton_solve).
 """
 
 from __future__ import annotations
@@ -116,16 +117,6 @@ class RunConfig:
     @property
     def dt_min(self) -> float:
         return DT_MIN_FACTOR * self.dt0
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What one adaptive_advance attempt produced."""
-
-    accepted: bool
-    dt_used: float
-    newton_iters: int
-    failure_reason: str | None = None
 
 
 def step_residual(ops: FeOperators, state_n: State, dt: float):
@@ -282,59 +273,6 @@ def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, in
     raise StepFailure("newton_divergence", NEWTON_MAX_ITER)
 
 
-@dataclass
-class StepController:
-    """Mutable controller state: current dt and the acceptance streak."""
-
-    dt: float
-    streak: int = 0
-
-
-def make_controller(config: RunConfig) -> StepController:
-    return StepController(dt=config.fixed_dt if config.fixed_dt else config.dt0)
-
-
-def adaptive_advance(
-    ops: FeOperators,
-    state: State,
-    config: RunConfig,
-    ledger: PowerLedger,
-    controller: StepController,
-) -> tuple[State, StepOutcome]:
-    """Attempt steps from ``state`` until one is accepted or dt underflows.
-
-    Failed attempts halve the controller's dt and retry; an accepted step
-    is recorded into the ledger and may trigger dt growth after a streak
-    of cheap acceptances.  The final step is clamped to land on t_final
-    exactly.  With ``fixed_dt`` set, the first failure ends the run.
-    """
-    while True:
-        clamped = controller.dt >= config.t_final - state.t
-        dt = min(controller.dt, config.t_final - state.t)
-        try:
-            new_state, iters = newton_solve(ops, state, dt)
-        except StepFailure as fail:
-            if config.fixed_dt is not None:
-                return state, StepOutcome(False, dt, fail.newton_iters, fail.reason)
-            controller.streak = 0
-            controller.dt *= DT_SHRINK
-            if controller.dt < config.dt_min:
-                return state, StepOutcome(False, dt, fail.newton_iters, "dt_underflow")
-            continue
-        if clamped:
-            new_state = dataclasses.replace(new_state, t=config.t_final)
-        ledger.record(ops.mesh, new_state, dt, iters)
-        if config.fixed_dt is None:
-            if iters <= GROWTH_ITER_LIMIT:
-                controller.streak += 1
-            else:
-                controller.streak = 0
-            if controller.streak >= GROWTH_STREAK:
-                controller.dt = min(controller.dt * DT_GROWTH, config.dt_cap)
-                controller.streak = 0
-        return new_state, StepOutcome(True, dt, iters)
-
-
 # a balance excursion larger than the initial Hamiltonian itself marks
 # a run that left the regime the energetic bookkeeping is meant for
 VAR_ANOMALY_THRESHOLD = 1.0
@@ -369,6 +307,10 @@ def run_simulation(config: RunConfig, profile=diagnostics.gaussian_pulse) -> Run
     interior P2 nodes; its boundary values are dropped by the
     homogeneous expansion.  Snapshots are taken at the first accepted
     step past each of ``n_snapshots`` uniform target times.
+
+    A failed attempt retries from the same state with a smaller dt
+    (module docstring); with ``fixed_dt`` set, it ends the run with the
+    failure's own reason.  The last step lands on t_final exactly.
     """
     mesh = fem1d.build_mesh(config.mesh_elems)
     ops = fem1d.assemble_operators(mesh)
@@ -384,15 +326,34 @@ def run_simulation(config: RunConfig, profile=diagnostics.gaussian_pulse) -> Run
         targets = np.empty(0)
     next_target = 0
 
-    controller = make_controller(config)
+    dt = config.fixed_dt or config.dt0
+    streak = 0
     termination = "completed"
     negative = False
     t_tol = 1e-12 * max(config.t_final, 1.0)
     while state.t < config.t_final - t_tol:
-        state, outcome = adaptive_advance(ops, state, config, ledger, controller)
-        if not outcome.accepted:
-            termination = outcome.failure_reason
-            break
+        remaining = config.t_final - state.t
+        step = min(dt, remaining)
+        try:
+            state, iters = newton_solve(ops, state, step)
+        except StepFailure as fail:
+            if config.fixed_dt is not None:
+                termination = fail.reason
+                break
+            streak = 0
+            dt *= DT_SHRINK
+            if dt < config.dt_min:
+                termination = "dt_underflow"
+                break
+            continue
+        if dt >= remaining:
+            state = dataclasses.replace(state, t=config.t_final)
+        ledger.record(mesh, state, step, iters)
+        if config.fixed_dt is None:
+            streak = streak + 1 if iters <= GROWTH_ITER_LIMIT else 0
+            if streak >= GROWTH_STREAK:
+                dt = min(dt * DT_GROWTH, config.dt_cap)
+                streak = 0
         negative = negative or (state.viscous and np.min(state.v) < 0.0)
         while next_target < targets.size and state.t >= targets[next_target] - t_tol:
             next_target += 1

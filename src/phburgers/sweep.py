@@ -41,7 +41,8 @@ class SweepGrid:
     """Cartesian study grid; defaults match the full stability study.
 
     Every cell runs to the horizon ``t_final``.  All values must be
-    finite; the comparisons are written so that NaN fails them.
+    finite; the comparisons are written so that NaN fails them.  No two
+    cells may share a :func:`cell_tag`, the name of their ledger file.
     """
 
     alphas: tuple = (0.5, 1.0, 2.0)
@@ -58,6 +59,13 @@ class SweepGrid:
             raise ValueError("element widths must be positive and finite")
         if not 0 <= self.t_final < math.inf:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
+        tags = set()
+        for cell in self.cells():
+            tag = cell_tag(*cell)
+            if tag in tags:
+                raise ValueError(f"two cells share the ledger name {tag}; grid values "
+                                 "must differ in their first 6 significant digits")
+            tags.add(tag)
 
     def cells(self) -> list[tuple[float, float, float]]:
         return [(a, b, h) for a in self.alphas for b in self.betas for h in self.hs]
@@ -88,7 +96,7 @@ class SweepResult:
 
 
 def cell_tag(alpha: float, beta: float, h: float) -> str:
-    """Unique, filesystem-safe name for one grid cell."""
+    """Filesystem-safe name for one grid cell, unique within a SweepGrid."""
     return f"a{alpha:g}_b{beta:g}_h{h:g}"
 
 
@@ -97,12 +105,12 @@ def _run_cell(payload) -> SweepCell:
     try:
         config = RunConfig(h=h, alpha=alpha, beta=beta, t_final=t_final)
         result = run_simulation(config)
+        if out_dir is not None:
+            path = Path(out_dir) / f"ledger_{cell_tag(alpha, beta, h)}.csv"
+            atomic_write_text(path, format_ledger_csv(result.ledger))
     except Exception as exc:  # a bad cell must not poison the sweep
         return SweepCell(alpha, beta, h, float("nan"), float("nan"), 0,
                          f"error: {type(exc).__name__}: {exc}")
-    if out_dir is not None:
-        path = Path(out_dir) / f"ledger_{cell_tag(alpha, beta, h)}.csv"
-        atomic_write_text(path, format_ledger_csv(result.ledger))
     return SweepCell(alpha, beta, h, result.var, result.t_reached,
                      result.n_steps, result.termination_reason)
 
@@ -210,10 +218,10 @@ def format_ledger_csv(ledger: PowerLedger) -> str:
 
 def format_snapshot_csv(mesh: fem1d.Mesh1D, state: State) -> str:
     """Nodal snapshot (x, v, e, e_r) of one state as CSV."""
-    v = fem1d.as_full_vector(mesh, state.v)
-    e = fem1d.as_full_vector(mesh, state.e)
+    v = fem1d.embed_interior(mesh, state.v)
+    e = fem1d.embed_interior(mesh, state.e)
     if state.e_r.size:
-        e_r = fem1d.as_full_vector(mesh, state.e_r)
+        e_r = fem1d.embed_interior(mesh, state.e_r)
     else:
         e_r = np.zeros(mesh.n_nodes)
     # tolist gives plain floats: numpy scalars stringify as np.float64(...)
@@ -222,11 +230,16 @@ def format_snapshot_csv(mesh: fem1d.Mesh1D, state: State) -> str:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     """Write via a temporary sibling and rename, so readers never see a
-    partial file and failures leave the old content intact."""
+    partial file and failures leave the old content intact.  On failure
+    the temporary file is removed and the error re-raised."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_run_outputs(result: RunResult, out_dir: str | os.PathLike) -> list[Path]:

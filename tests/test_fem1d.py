@@ -150,7 +150,7 @@ def coo_interior(mesh, local):
 
 def einsum_weighted_mass(mesh, weight):
     """Reference assembly of W(w): einsum element blocks, then coo_interior."""
-    wq = fem1d.quadrature_values(mesh, fem1d.embed_interior(mesh, weight))
+    wq = fem1d.quadrature_values(mesh, weight)
     local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
     return coo_interior(mesh, local)
 

@@ -83,6 +83,11 @@ def test_grid_validation_and_cells_order():
         sweep.SweepGrid(hs=(0.0,))
     with pytest.raises(ValueError):
         sweep.SweepGrid(alphas=(float("nan"),))
+    # two cells whose ledgers would share one file name
+    with pytest.raises(ValueError, match="ledger name a1_b0_h0.5"):
+        sweep.SweepGrid(alphas=(1.0000001, 1.0000002), betas=(0.0,), hs=(0.5,))
+    with pytest.raises(ValueError, match="ledger name a1_b0_h0.5"):
+        sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.5, 0.5))
 
 
 def test_default_grid_matches_study():
@@ -191,6 +196,29 @@ def test_atomic_write_leaves_no_temp(tmp_path):
     sweep.atomic_write_text(target, "second")
     assert target.read_text() == "second"
     assert list(tmp_path.iterdir()) == [target]
+    # a failed rename removes the temporary file and re-raises
+    blocked = tmp_path / "blocked.csv"
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError):
+        sweep.atomic_write_text(blocked, "text")
+    assert sorted(tmp_path.iterdir()) == [blocked, target]
+
+
+def test_sweep_records_unwritable_ledger_as_cell_error(tmp_path, capsys):
+    # one cell's ledger path is taken by a directory: that cell errors,
+    # the other cell and the table are still written
+    blocked = tmp_path / f"ledger_{sweep.cell_tag(1.0, 0.0, 0.05)}.csv"
+    blocked.mkdir()
+    assert cli.main(["sweep", "--alphas", "1", "--betas", "0,1", "--hs", "0.05",
+                     "--t-final", "0.01", "--workers", "1",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert "sweep: 2 cells, 1 errored" in capsys.readouterr().err
+    table = sweep.parse_table_csv((tmp_path / "table.csv").read_text())
+    bad, good = table.cells
+    assert bad.termination.startswith("error: IsADirectoryError: ")
+    assert good.termination == "completed"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        blocked.name, f"ledger_{sweep.cell_tag(1.0, 1.0, 0.05)}.csv", "table.csv"]
 
 
 def test_write_run_outputs(tmp_path):
@@ -247,9 +275,9 @@ def explicit_repr_ledger_csv(ledger):
 
 
 def explicit_repr_snapshot_csv(mesh, state):
-    v = fem1d.as_full_vector(mesh, state.v)
-    e = fem1d.as_full_vector(mesh, state.e)
-    e_r = fem1d.as_full_vector(mesh, state.e_r) if state.e_r.size else np.zeros(mesh.n_nodes)
+    v = fem1d.embed_interior(mesh, state.v)
+    e = fem1d.embed_interior(mesh, state.e)
+    e_r = fem1d.embed_interior(mesh, state.e_r) if state.e_r.size else np.zeros(mesh.n_nodes)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(sweep.SNAPSHOT_HEADER)
@@ -327,6 +355,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["run", "--h", "0.1", "--t-final", "0.05", "--snapshots", "-3",
                      "--out-dir", str(out)]) == 1
     assert "n_snapshots must be nonnegative" in capsys.readouterr().err
+    assert cli.main(["sweep", "--alphas", "1.0000001,1.0000002", "--betas", "0",
+                     "--hs", "0.5", "--t-final", "0.01", "--workers", "1",
+                     "--out-dir", str(out)]) == 1
+    assert "share the ledger name a1_b0_h0.5" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 """Step solver, controller arithmetic, and whole-run bookkeeping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -255,34 +257,38 @@ def test_newton_matrix_is_bitwise_the_bmat_stack(n_elems, nu, kind):
                              bmat_newton_matrix(ops, trial, dt))
 
 
-# ------------------------------------------------------ adaptive_advance
+# ------------------------------------------------------------ step loop
 
 
-def test_adaptive_advance_records_accepted_step():
-    ops = make_ops(10)
-    st = phsystem.make_state(ops, np.zeros(ops.mesh.n_interior))
-    cfg = integrator.RunConfig(h=0.1)
-    ledger = diagnostics.PowerLedger()
-    ledger.record(ops.mesh, st, 0.0, 0)
-    ctrl = integrator.make_controller(cfg)
-    st, outcome = integrator.adaptive_advance(ops, st, cfg, ledger, ctrl)
-    assert outcome.accepted and outcome.newton_iters == 0
-    assert outcome.dt_used == pytest.approx(cfg.dt0)
-    assert st.t == pytest.approx(cfg.dt0)
-    assert len(ledger) == 2
+def replay_controller(cfg, schedule=lambda attempt: 0):
+    """The step loop's controller arithmetic, replayed without solving.
 
-
-def replay_controller(cfg):
-    """Step count for a run whose every step accepts with cheap Newton."""
-    t, dt, streak, steps = 0.0, cfg.dt0, 0, 0
-    while t < cfg.t_final - 1e-12:
-        t = cfg.t_final if dt >= cfg.t_final - t else t + dt
-        steps += 1
-        streak += 1
-        if streak >= integrator.GROWTH_STREAK:
-            dt = min(dt * integrator.DT_GROWTH, cfg.dt_cap)
+    ``schedule(k)`` is the outcome of attempt k: the Newton iteration
+    count of an accepted step, or a StepFailure.  The default accepts
+    every attempt at zero iterations, as a run from rest does.  Returns
+    the dt of every accepted step and the termination reason.
+    """
+    t, dt, streak, dts, attempt = 0.0, cfg.fixed_dt or cfg.dt0, 0, [], 0
+    while t < cfg.t_final - 1e-12 * max(cfg.t_final, 1.0):
+        outcome = schedule(attempt)
+        attempt += 1
+        step = min(dt, cfg.t_final - t)
+        if isinstance(outcome, phsystem.StepFailure):
+            if cfg.fixed_dt is not None:
+                return dts, outcome.reason
             streak = 0
-    return steps
+            dt *= integrator.DT_SHRINK
+            if dt < cfg.dt_min:
+                return dts, "dt_underflow"
+            continue
+        t = cfg.t_final if dt >= cfg.t_final - t else t + step
+        dts.append(step)
+        if cfg.fixed_dt is None:
+            streak = streak + 1 if outcome <= integrator.GROWTH_ITER_LIMIT else 0
+            if streak >= integrator.GROWTH_STREAK:
+                dt = min(dt * integrator.DT_GROWTH, cfg.dt_cap)
+                streak = 0
+    return dts, "completed"
 
 
 def test_rest_run_follows_controller_arithmetic():
@@ -294,7 +300,12 @@ def test_rest_run_follows_controller_arithmetic():
     run = integrator.run_simulation(cfg, profile=lambda x: np.zeros_like(x))
     assert run.termination_reason == "completed"
     assert run.t_reached == cfg.t_final
-    assert run.n_steps == replay_controller(cfg) == 20
+    dts, _ = replay_controller(cfg)
+    assert run.n_steps == len(dts) == 20
+    np.testing.assert_array_equal(run.ledger.column("dt")[1:], dts)
+    first = dict(zip(diagnostics.PowerLedger.COLUMNS, run.ledger.rows()[1]))
+    assert first["dt"] == cfg.dt0 and first["t"] == cfg.dt0
+    assert first["newton_iters"] == 0
     assert np.all(run.ledger.column("newton_iters") == 0)
     assert np.all(run.ledger.column("H") == 0.0)
     assert run.var == 0.0
@@ -304,8 +315,47 @@ def test_rest_run_follows_controller_arithmetic():
 def test_rest_run_reaches_dt_cap():
     cfg = integrator.RunConfig(h=1e-2, t_final=2.0)
     run = integrator.run_simulation(cfg, profile=lambda x: np.zeros_like(x))
-    assert run.n_steps == replay_controller(cfg)
-    assert np.max(run.ledger.column("dt")) == cfg.dt_cap
+    dts, _ = replay_controller(cfg)
+    np.testing.assert_array_equal(run.ledger.column("dt")[1:], dts)
+    assert np.max(dts) == cfg.dt_cap
+
+
+FAIL = phsystem.StepFailure("newton_divergence")
+
+
+@pytest.mark.parametrize("cfg, schedule, termination", [
+    # a failure and an expensive acceptance each reset the streak; the
+    # failure halves dt, later streaks grow it again
+    (integrator.RunConfig(h=0.1, t_final=2.0),
+     lambda k: {4: FAIL, 8: FAIL, 10: 4, 17: 4}.get(k, 0), "completed"),
+    # every attempt from the third on fails: dt halves down to its floor
+    (integrator.RunConfig(h=0.1, t_final=2.0),
+     lambda k: FAIL if k >= 2 else 0, "dt_underflow"),
+    # with a fixed dt the first failure ends the run with its own reason
+    (integrator.RunConfig(h=0.1, t_final=2.0, fixed_dt=0.05),
+     lambda k: {6: 4, 9: phsystem.StepFailure("singular_weighted_mass")}.get(k, 0),
+     "singular_weighted_mass"),
+], ids=["shrink_and_reset", "dt_underflow", "fixed_dt"])
+def test_step_loop_follows_scripted_outcomes(monkeypatch, cfg, schedule, termination):
+    # a scripted newton_solve decides every attempt, so the ledger's dt
+    # column is the controller arithmetic alone
+    attempts = []
+
+    def scripted_solve(ops, state, dt):
+        outcome = schedule(len(attempts))
+        attempts.append(dt)
+        if isinstance(outcome, phsystem.StepFailure):
+            raise outcome
+        return dataclasses.replace(state, t=state.t + dt), outcome
+
+    monkeypatch.setattr(integrator, "newton_solve", scripted_solve)
+    run = integrator.run_simulation(cfg)
+    dts, replayed = replay_controller(cfg, schedule)
+    np.testing.assert_array_equal(run.ledger.column("dt")[1:], dts)
+    assert run.n_steps == len(dts) > 0
+    assert run.termination_reason == replayed == termination
+    assert (termination == "completed") == (run.t_reached == cfg.t_final)
+    assert len(attempts) > run.n_steps
 
 
 # -------------------------------------------------------- run_simulation

@@ -1,4 +1,4 @@
-"""Digest of the files and messages of four reference command-line runs.
+"""Digest of the files and messages of five reference command-line runs.
 
 Runs, from the ``src/`` of the checkout this script sits in and inside a
 temporary directory,
@@ -7,6 +7,8 @@ temporary directory,
     phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
     phburgers run --config run.cfg          (h, alpha, beta, t_final, snapshots)
     phburgers sweep --hs 0.05 --t-final 0.1 --format text --workers 1
+    phburgers run --h 0.01 --alpha 0.5 --beta 5 --t-final 0.05 --snapshots 3
+                                            (stops early: dt underflow, exit 3)
 
 each into its own output directory there; ``run.cfg`` is written into
 the temporary directory first.  Prints one ``sha256  relative/path``
@@ -42,6 +44,8 @@ COMMANDS = (
     ("run_config", ["run", "--config", CONFIG_NAME]),
     ("sweep_text", ["sweep", "--hs", "0.05", "--t-final", "0.1", "--format", "text",
                     "--workers", "1"]),
+    ("run_underflow", ["run", "--h", "0.01", "--alpha", "0.5", "--beta", "5",
+                       "--t-final", "0.05", "--snapshots", "3"]),
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
