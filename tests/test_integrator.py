@@ -291,6 +291,21 @@ def replay_controller(cfg, schedule=lambda attempt: 0):
     return dts, "completed"
 
 
+def test_adaptive_advance_records_accepted_step():
+    # one step from rest on a horizon of exactly dt0: accepted at dt0 with
+    # zero Newton iterations and recorded as the ledger's second row
+    cfg = integrator.RunConfig(h=0.1)
+    cfg = dataclasses.replace(cfg, t_final=cfg.dt0)
+    run = integrator.run_simulation(cfg, profile=lambda x: np.zeros_like(x))
+    assert run.termination_reason == "completed" and run.n_steps == 1
+    assert len(run.ledger) == 2
+    first = dict(zip(diagnostics.PowerLedger.COLUMNS, run.ledger.rows()[1]))
+    assert first["dt"] == pytest.approx(cfg.dt0)
+    assert first["t"] == pytest.approx(cfg.dt0)
+    assert first["newton_iters"] == 0
+    assert run.t_reached == pytest.approx(cfg.dt0)
+
+
 def test_rest_run_follows_controller_arithmetic():
     # v = 0 accepts every step with zero iterations, so the step count is
     # pure controller arithmetic: 5 steps at dt0, growth by 1.5 after each
@@ -303,9 +318,6 @@ def test_rest_run_follows_controller_arithmetic():
     dts, _ = replay_controller(cfg)
     assert run.n_steps == len(dts) == 20
     np.testing.assert_array_equal(run.ledger.column("dt")[1:], dts)
-    first = dict(zip(diagnostics.PowerLedger.COLUMNS, run.ledger.rows()[1]))
-    assert first["dt"] == cfg.dt0 and first["t"] == cfg.dt0
-    assert first["newton_iters"] == 0
     assert np.all(run.ledger.column("newton_iters") == 0)
     assert np.all(run.ledger.column("H") == 0.0)
     assert run.var == 0.0
