@@ -106,6 +106,13 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
+def _check_out_dir(out_dir) -> None:
+    """Reject an output directory that an existing file blocks, before any cell runs."""
+    for path in (Path(out_dir), *Path(out_dir).parents):
+        if path.exists() and not path.is_dir():
+            raise UsageError(f"output directory {out_dir}: {path} exists and is not a directory")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phburgers", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -161,8 +168,9 @@ def _cmd_run(args) -> int:
         config = RunConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    result = run_simulation(config)
     out_dir = args.out_dir or "phburgers_out"
+    _check_out_dir(out_dir)
+    result = run_simulation(config)
     paths = write_run_outputs(result, out_dir)
     print(f"run: t reached {result.t_reached:.6g} of {config.t_final:g}, "
           f"{result.n_steps} steps, Var {result.var:.3e}, "
@@ -179,6 +187,7 @@ def _cmd_sweep(args) -> int:
         if getattr(args, key) is not None:
             grid_kwargs[key] = getattr(args, key)
     out_dir = Path(args.out_dir or "phburgers_out")
+    _check_out_dir(out_dir)
     try:
         grid = SweepGrid(**grid_kwargs)
         result = run_sweep(grid, workers=args.workers, out_dir=out_dir)

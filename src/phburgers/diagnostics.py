@@ -27,7 +27,6 @@ all of which the viscous runs should approach as the viscosity shrinks.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import fem1d
 from .fem1d import Mesh1D
@@ -175,6 +174,8 @@ def shock_formation_time(v0=gaussian_pulse, v0_slope=None) -> float:
     followed by a bounded local refinement.  Profiles with nowhere
     negative slope never shock; that raises NoShockError.
     """
+    # scipy.optimize, a quarter of the package import, loads on first use in the shock oracles
+    from scipy.optimize import minimize_scalar
     v0_slope = _slope(v0, v0_slope)
     xs = np.linspace(0.0, 1.0, 2001)
     slopes = np.asarray(v0_slope(xs))
@@ -196,6 +197,7 @@ def characteristics_solution(t: float, x, v0=gaussian_pulse, v0_slope=None):
     finding (the map is strictly increasing while t < t*), then returns
     v0(xi).  Accepts scalar or array x.
     """
+    from scipy.optimize import brentq
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
     t_star = shock_formation_time(v0, v0_slope)
@@ -302,6 +304,7 @@ def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
     Returns arrays (x_s, v_l, v_r, dH_rate) sampled at ``t_values``,
     which must start at or after the shock time and increase.
     """
+    from scipy.optimize import brentq, minimize_scalar
     v0_slope = _slope(v0, v0_slope)
     t_star = shock_formation_time(v0, v0_slope)
     t_values = np.asarray(t_values, dtype=float)

@@ -66,6 +66,8 @@ _PHI = _reference_basis(_QP)          # (3, 5)
 _DPHI = _reference_basis_deriv(_QP)   # (3, 5)
 # (quadrature weight * phi_a) * phi_b at each Gauss point, shape (5, 9) over (q, 3a + b)
 _WEIGHTED_MASS_TERMS = ((_QW * _PHI)[:, None, :] * _PHI[None, :, :]).reshape(9, -1).T
+# quadrature weight * phi_a at each Gauss point, shape (5, 3) over (q, a)
+_LOAD_TERMS = (_QW * _PHI).T
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,9 @@ class FeOperators:
 
 def _banded_lower(a: scipy.sparse.spmatrix, bandwidth: int) -> np.ndarray:
     """Lower diagonal-ordered storage of a symmetric banded sparse matrix."""
-    n = a.shape[0]
-    ab = np.zeros((bandwidth + 1, n))
+    ab = np.zeros((bandwidth + 1, a.shape[0]))
     for k in range(bandwidth + 1):
-        diag = a.diagonal(-k)
-        ab[k, : n - k] = diag
+        ab[k, : a.shape[0] - k] = a.diagonal(-k)
     return ab
 
 
@@ -185,7 +185,7 @@ def assemble_operators(mesh: Mesh1D) -> FeOperators:
     # so the structural identities hold to the last bit on every mesh.
     conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
     mass, convection, gradient = (
-        _fill_interior(mesh, np.tile(local.ravel(), mesh.n_elems))
+        _interior_matrix(mesh, _interior_data(mesh, np.tile(local.ravel(), mesh.n_elems)))
         for local in (mass_loc, conv_loc, conv_loc.T))
     return FeOperators(
         mesh=mesh,
@@ -273,44 +273,62 @@ def _scatter_pattern(mesh: Mesh1D) -> _ScatterPattern:
     return _ScatterPattern(*arrays)
 
 
-def _fill_interior(mesh: Mesh1D, local: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Interior CSR matrix summing the flattened (n_elems, 9) element blocks ``local``."""
+def _interior_data(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
+    """Data array, on the interior pattern, of the flattened (n_elems, 9) element blocks' sum."""
     p = mesh._interior_pattern
     data = local[p.first]
     data[p.shared] += local[p.second]
-    n = mesh.n_interior
-    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(n, n))
+    return data
+
+
+def _interior_matrix(mesh: Mesh1D, data: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Interior CSR matrix with the data array ``data`` on the interior pattern."""
+    p = mesh._interior_pattern
+    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(mesh.n_interior,) * 2)
+
+
+def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray) -> np.ndarray:
+    """Data array of W(w) (:func:`assemble_weighted_mass`) on the interior pattern.
+
+    The element sums run over the quadrature points in increasing order
+    from a zero start, bitwise what numpy's einsum("q,aq,bq,eq->eab")
+    gives: W(v) is nearly singular in the wall zones, where the step
+    controller's decisions turn on the last bits of the factored matrices.
+    """
+    wq = quadrature_values(mesh, weight)
+    local = np.zeros((mesh.n_elems, 9))
+    for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
+        local += terms * wq[:, q, None]
+    local *= mesh.h
+    return _interior_data(mesh, local.ravel())
 
 
 def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr_matrix:
     """Interior weighted mass matrix W(w)[i, j] = int w_d phi_j phi_i dx.
 
     Linear in the weight; symmetric for any weight; positive definite only
-    when the weight function keeps a positive sign.  Only the data array
-    is computed here; the pattern is built once per mesh.  The element
-    sums run over the quadrature points in increasing order from a zero
-    start, bitwise what numpy's einsum("q,aq,bq,eq->eab") gives: W(v) is
-    nearly singular in the wall zones, where the step controller's
-    decisions turn on the last bits of the factored matrices.
+    when the weight function keeps a positive sign.  The pattern is per mesh.
     """
-    wq = quadrature_values(mesh, weight)
-    local = np.zeros((mesh.n_elems, 9))
-    for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
-        local += terms * wq[:, q, None]
-    return _fill_interior(mesh, (mesh.h * local).ravel())
+    return _interior_matrix(mesh, weighted_mass_data(mesh, weight))
 
 
 def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:
     """Interior load vector N(v)[i] = int phi_i v_d^2 / 2 dx.
 
     The integrand has degree 6, within the exactness of the 5-point rule,
-    so N is homogeneous of degree 2 to rounding: N(a v) = a^2 N(v).
+    so N is homogeneous of degree 2 to rounding: N(a v) = a^2 N(v).  Summed as
+    in W, each vertex adding its left, then right share to zero, as np.add.at does.
     """
     vq = quadrature_values(mesh, v)
-    local = 0.5 * mesh.h * np.einsum("q,aq,eq->ea", _QW, _PHI, vq**2)
-    full = np.zeros(mesh.n_nodes)
-    np.add.at(full, mesh.cells.ravel(), local.ravel())
-    return full[mesh.interior_to_global]
+    v2 = vq**2
+    local = np.zeros((mesh.n_elems, 3))
+    for q, terms in enumerate(_LOAD_TERMS):
+        local += terms * v2[:, q, None]
+    local *= 0.5 * mesh.h
+    out = np.empty(mesh.n_interior)
+    out[0::2] = 0.0 + local[:, 1]  # midpoints
+    out[1::2] = (0.0 + local[:-1, 2]) + local[1:, 0]  # interior vertices
+    return out
 
 
 def _evaluate(mesh: Mesh1D, coeffs: np.ndarray, x, basis):

@@ -128,25 +128,28 @@ def step_residual(ops: FeOperators, state_n: State, dt: float):
     polynomial in z, so F stays finite where W(v) is singular.
     """
     M, D, R, mesh = ops.mass, ops.convection, ops.gradient, ops.mesh
-    v_n, nu = state_n.v, state_n.nu
+    v_n, nu, n = state_n.v, state_n.nu, mesh.n_interior
     g_n = phsystem.structure_apply(ops, state_n)
     if not state_n.viscous:
         def residual(z):
-            v, e = np.split(z, 2)
+            v, e = z[:n], z[n:]
             return np.concatenate([
                 M @ (v - v_n) - 0.5 * dt * (D @ e + g_n),
                 M @ e - fem1d.assemble_quadratic_load(mesh, v),
             ])
         return residual
 
+    W = M.copy()  # W(v) shares M's pattern; its data is refilled per evaluation
+
     def residual(z):
-        v, e, f, r = np.split(z, 4)
-        De = D @ e  # bitwise R^T e
+        v, e, f, r = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
+        De, Mf = D @ e, M @ f  # D e is bitwise R^T e
+        W.data = fem1d.weighted_mass_data(mesh, v)
         return np.concatenate([
             M @ (v - v_n) - 0.5 * dt * (De - R @ r + g_n),
             M @ e - fem1d.assemble_quadratic_load(mesh, v),
-            M @ f - De,
-            fem1d.assemble_weighted_mass(mesh, v) @ r - nu * (M @ f),
+            Mf - De,
+            W @ r - nu * Mf,
         ])
     return residual
 
@@ -206,11 +209,11 @@ def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.cs
     ``scipy.sparse.bmat`` builds from the scaled blocks.
     """
     M, D, R = ops.mass.data, ops.convection.data, ops.gradient.data
-    Wv = fem1d.assemble_weighted_mass(ops.mesh, trial.v)
-    Wr = fem1d.assemble_weighted_mass(ops.mesh, trial.e_r).data if trial.viscous else None
+    Wv = fem1d.weighted_mass_data(ops.mesh, trial.v)
+    Wr = fem1d.weighted_mass_data(ops.mesh, trial.e_r) if trial.viscous else None
     # R^T, a transposed view, shares R's data array
-    rows = _newton_layout(M, D * (-0.5 * dt), R * (0.5 * dt), -R, -Wv.data, Wr,
-                          M * (-trial.nu), Wv.data, trial.viscous)
+    rows = _newton_layout(M, D * (-0.5 * dt), R * (0.5 * dt), -R, -Wv, Wr,
+                          M * (-trial.nu), Wv, trial.viscous)
     data = np.concatenate([block for row in rows for block in row if block is not None])
     indptr, indices, source = _newton_pattern(ops, trial.viscous)
     n = indptr.size - 1

@@ -218,14 +218,11 @@ def format_ledger_csv(ledger: PowerLedger) -> str:
 
 def format_snapshot_csv(mesh: fem1d.Mesh1D, state: State) -> str:
     """Nodal snapshot (x, v, e, e_r) of one state as CSV."""
-    v = fem1d.embed_interior(mesh, state.v)
-    e = fem1d.embed_interior(mesh, state.e)
-    if state.e_r.size:
-        e_r = fem1d.embed_interior(mesh, state.e_r)
-    else:
-        e_r = np.zeros(mesh.n_nodes)
-    # tolist gives plain floats: numpy scalars stringify as np.float64(...)
-    return _csv_text(SNAPSHOT_HEADER, zip(*(col.tolist() for col in (mesh.nodes, v, e, e_r))))
+    e_r = state.e_r if state.e_r.size else np.zeros(mesh.n_interior)
+    cols = [mesh.nodes] + [fem1d.embed_interior(mesh, x) for x in (state.v, state.e, e_r)]
+    # tolist gives plain floats, whose repr is what csv writes for them
+    rows = "\n".join(map(",".join, zip(*(map(repr, c.tolist()) for c in cols))))
+    return ",".join(SNAPSHOT_HEADER) + "\n" + rows + "\n"
 
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:

@@ -1,8 +1,12 @@
 """Shared pytest wiring (an always-visible acceptance report section),
-the field samples and bitwise comparison the assembly guard tests share,
-and the dense co-state oracle of the projection tests."""
+the field samples, bitwise comparison and einsum kernel oracles the
+assembly guard tests share, and the dense co-state oracle of the
+projection tests."""
 
 import numpy as np
+import scipy.sparse
+
+from phburgers import fem1d
 
 _ac_lines = []
 
@@ -19,16 +23,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-FIELD_KINDS = ("random", "zero", "negative", "tiny", "large", "underflow")
+FIELD_KINDS = ("random", "zero", "negative", "subnormal", "tiny", "huge", "large", "underflow")
 
 
 def sample_field(kind: str, rng: np.random.Generator, n: int) -> np.ndarray:
-    """A coefficient vector of one kind; "underflow" makes every product a signed zero."""
+    """A coefficient vector of one kind.
+
+    "subnormal" puts squares in the subnormal range, where scaled sums
+    underflow to signed zeros; "huge" keeps squares finite near the top
+    of the range, "large" overflows them to inf (and inf - inf to nan),
+    and "underflow" makes every product a signed zero.
+    """
     return {
         "random": lambda: rng.standard_normal(n),
         "zero": lambda: np.zeros(n),
         "negative": lambda: -rng.uniform(0.1, 2.0, n),
+        "subnormal": lambda: 1e-160 * rng.standard_normal(n),
         "tiny": lambda: 1e-300 * rng.standard_normal(n),
+        "huge": lambda: 1e150 * rng.standard_normal(n),
         "large": lambda: 1e200 * rng.standard_normal(n),
         "underflow": lambda: np.full(n, -5e-324),
     }[kind]()
@@ -40,6 +52,33 @@ def assert_bitwise_equal(a, b) -> None:
     np.testing.assert_array_equal(a.indptr, b.indptr)
     np.testing.assert_array_equal(a.indices, b.indices)
     np.testing.assert_array_equal(a.data.view(np.int64), b.data.view(np.int64))
+
+
+def coo_interior(mesh, local):
+    """Reference scatter: COO sum of the element blocks over all nodes, np.ix_ interior cut."""
+    cells = mesh.cells
+    rows = np.repeat(cells, 3, axis=1).ravel()
+    cols = np.tile(cells, (1, 3)).ravel()
+    n = mesh.n_nodes
+    full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    idx = mesh.interior_to_global
+    return full[np.ix_(idx, idx)].tocsr()
+
+
+def einsum_weighted_mass(mesh, weight):
+    """Reference assembly of W(w), a fresh CSR: einsum element blocks, then coo_interior."""
+    wq = fem1d.quadrature_values(mesh, weight)
+    local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
+    return coo_interior(mesh, local)
+
+
+def einsum_quadratic_load(mesh, v):
+    """Reference load N(v): einsum element vectors, summed node by node with np.add.at."""
+    vq = fem1d.quadrature_values(mesh, v)
+    local = 0.5 * mesh.h * np.einsum("q,aq,eq->ea", fem1d._QW, fem1d._PHI, vq**2)
+    full = np.zeros(mesh.n_nodes)
+    np.add.at(full, mesh.cells.ravel(), local.ravel())
+    return full[mesh.interior_to_global]
 
 
 def dense_projection_oracle(n_elems, v):

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-import scipy.sparse
 
-from conftest import FIELD_KINDS, assert_bitwise_equal, sample_field
+from conftest import (FIELD_KINDS, assert_bitwise_equal, coo_interior, einsum_quadratic_load,
+                      einsum_weighted_mass, sample_field)
 from phburgers import fem1d
 
 # Local 3x3 blocks on one element of width h, frozen from hand calculus
@@ -137,24 +137,6 @@ def test_weighted_mass_is_symmetric_trilinear_form():
         assert val == pytest.approx(ref, rel=1e-13)
 
 
-def coo_interior(mesh, local):
-    """Reference scatter: COO sum of the element blocks over all nodes, np.ix_ interior cut."""
-    cells = mesh.cells
-    rows = np.repeat(cells, 3, axis=1).ravel()
-    cols = np.tile(cells, (1, 3)).ravel()
-    n = mesh.n_nodes
-    full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    idx = mesh.interior_to_global
-    return full[np.ix_(idx, idx)].tocsr()
-
-
-def einsum_weighted_mass(mesh, weight):
-    """Reference assembly of W(w): einsum element blocks, then coo_interior."""
-    wq = fem1d.quadrature_values(mesh, weight)
-    local = mesh.h * np.einsum("q,aq,bq,eq->eab", fem1d._QW, fem1d._PHI, fem1d._PHI, wq)
-    return coo_interior(mesh, local)
-
-
 def full_assembly_operators(mesh):
     """Reference M, D, R: the constant local blocks tiled over the mesh, then coo_interior."""
     mass_loc = mesh.h * np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._PHI, fem1d._PHI)
@@ -184,6 +166,22 @@ def test_weighted_mass_is_bitwise_the_reference_assembly(n_elems, kind):
         w = sample_field(kind, rng, mesh.n_interior)
         assert_bitwise_equal(fem1d.assemble_weighted_mass(mesh, w),
                              einsum_weighted_mass(mesh, w))
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100, 1000])
+def test_step_kernels_are_bitwise_the_einsum_oracles(n_elems, kind):
+    # the per-q sums and the two-term vertex sums must round exactly like
+    # einsum and np.add.at, overflow and signed zeros included
+    mesh = fem1d.build_mesh(n_elems)
+    rng = np.random.default_rng(n_elems)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3):
+            w = sample_field(kind, rng, mesh.n_interior)
+            assert (fem1d.assemble_quadratic_load(mesh, w).tobytes()
+                    == einsum_quadratic_load(mesh, w).tobytes())
+            assert (fem1d.weighted_mass_data(mesh, w).tobytes()
+                    == einsum_weighted_mass(mesh, w).data.tobytes())
 
 
 def test_quadratic_load_matches_weighted_mass_identity():

@@ -3,6 +3,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,7 +350,7 @@ def test_cli_oracle_solution(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["nope"]) == 1
     assert cli.main(["run", "--h", "0.3"]) == 1
     assert cli.main(["run", "--h", "0.1", "--n-elems", "10"]) == 1
@@ -360,6 +364,23 @@ def test_cli_usage_errors(tmp_path, capsys):
                      "--out-dir", str(out)]) == 1
     assert "share the ledger name a1_b0_h0.5" in capsys.readouterr().err
     assert not out.exists()
+
+    # an output directory an existing file blocks is refused before anything runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("simulated before checking the output directory")
+
+    monkeypatch.setattr(cli, "run_simulation", must_not_run)
+    monkeypatch.setattr(cli, "run_sweep", must_not_run)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
+    for command in (["run", "--h", "0.5", "--t-final", "0.01"],
+                    ["sweep", "--alphas", "1", "--betas", "0", "--hs", "0.5",
+                     "--t-final", "0.01", "--workers", "1"]):
+        for target in (blocker, blocker / "sub"):
+            assert cli.main(command + ["--out-dir", str(target)]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: output directory {target}: {blocker} exists and is not a directory"]
+    assert blocker.read_text() == "kept"
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):
@@ -441,6 +462,15 @@ def test_cli_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     err = capsys.readouterr().err
     assert "checks passed" in err and "FAIL" not in err
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # only the shock oracles need scipy.optimize; they import it on first use
+    code = "import sys, phburgers.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(phburgers.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_package_exports_resolve():

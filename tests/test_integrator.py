@@ -7,7 +7,8 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
-from conftest import FIELD_KINDS, assert_bitwise_equal, sample_field
+from conftest import (FIELD_KINDS, assert_bitwise_equal, einsum_quadratic_load,
+                      einsum_weighted_mass, sample_field)
 from phburgers import diagnostics, fem1d, integrator, phsystem
 
 
@@ -170,21 +171,26 @@ def test_newton_runs_out_of_iterations(monkeypatch):
 
 
 def coupled_residual(ops, state_n, dt, z):
-    """F(v, e, f, e_r) of the integrator's module docstring, from the operators."""
+    """F(v, e, f, e_r) of the integrator's module docstring, from the operators.
+
+    Splits z with np.split and builds a fresh W(v) and N(v) with the
+    einsum oracles on every call, so it shares no kernel and no state
+    with step_residual.
+    """
     M, D, R = ops.mass, ops.convection, ops.gradient
     if not state_n.viscous:
         v, e = np.split(z, 2)
         return np.concatenate([
             M @ (v - state_n.v) - 0.5 * dt * (D @ e + D @ state_n.e),
-            M @ e - fem1d.assemble_quadratic_load(ops.mesh, v),
+            M @ e - einsum_quadratic_load(ops.mesh, v),
         ])
     v, e, f, r = np.split(z, 4)
     g_n = D @ state_n.e - R @ state_n.e_r
     return np.concatenate([
         M @ (v - state_n.v) - 0.5 * dt * (D @ e - R @ r + g_n),
-        M @ e - fem1d.assemble_quadratic_load(ops.mesh, v),
+        M @ e - einsum_quadratic_load(ops.mesh, v),
         M @ f - R.T @ e,
-        fem1d.assemble_weighted_mass(ops.mesh, v) @ r - state_n.nu * (M @ f),
+        einsum_weighted_mass(ops.mesh, v) @ r - state_n.nu * (M @ f),
     ])
 
 
@@ -226,6 +232,37 @@ def test_step_residual_is_bitwise_the_coupled_oracle(nu, perturbed):
     for point in (z, z + 1e-2 * rng.standard_normal(z.size)):
         np.testing.assert_array_equal(F(point).view(np.int64),
                                       coupled_residual(ops, state_n, dt, point).view(np.int64))
+
+
+@pytest.mark.parametrize("kind", FIELD_KINDS)
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100, 1000])
+def test_step_residual_is_bitwise_the_split_oracle(n_elems, nu, kind):
+    # start state and trial points of one kind, overflow and signed zeros included
+    ops = make_ops(n_elems)
+    rng = np.random.default_rng(n_elems)
+    n_fields = 4 if nu > 0.0 else 2
+
+    def draw():
+        return np.concatenate([sample_field(kind, rng, ops.mesh.n_interior)
+                               for _ in range(n_fields)])
+
+    state_n = integrator._stacked_state(draw(), nu, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = integrator.step_residual(ops, state_n, 0.05)
+        for z in (draw(), draw()):
+            assert F(z).tobytes() == coupled_residual(ops, state_n, 0.05, z).tobytes()
+
+
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+def test_step_residual_keeps_no_state_between_evaluations(nu):
+    # the viscous closure refills one W per evaluation; nothing may carry over
+    ops, state_n, z1, rng = taylor_point(nu, perturbed=True)
+    F = integrator.step_residual(ops, state_n, 0.05)
+    z2 = z1 + rng.standard_normal(z1.size)
+    first, second, third = F(z1), F(z2), F(z1)
+    assert first.tobytes() == third.tobytes()
+    assert first.tobytes() != second.tobytes()
 
 
 def bmat_newton_matrix(ops, trial, dt):

@@ -1,4 +1,4 @@
-"""Digest of the files and messages of five reference command-line runs.
+"""Digest of the files and messages of six reference command-line runs.
 
 Runs, from the ``src/`` of the checkout this script sits in and inside a
 temporary directory,
@@ -9,6 +9,8 @@ temporary directory,
     phburgers sweep --hs 0.05 --t-final 0.1 --format text --workers 1
     phburgers run --h 0.01 --alpha 0.5 --beta 5 --t-final 0.05 --snapshots 3
                                             (stops early: dt underflow, exit 3)
+    phburgers run --h 0.05 --beta 0 --t-final 0.2 --snapshots 4
+                                            (inviscid: snapshots with zero e_r)
 
 each into its own output directory there; ``run.cfg`` is written into
 the temporary directory first.  Prints one ``sha256  relative/path``
@@ -46,6 +48,8 @@ COMMANDS = (
                     "--workers", "1"]),
     ("run_underflow", ["run", "--h", "0.01", "--alpha", "0.5", "--beta", "5",
                        "--t-final", "0.05", "--snapshots", "3"]),
+    ("run_inviscid", ["run", "--h", "0.05", "--beta", "0", "--t-final", "0.2",
+                      "--snapshots", "4"]),
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
