@@ -212,6 +212,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    values = args.shock_speed or args.shock_dissipation or args.solution or []
+    if not all(abs(value) < float("inf") for value in values):
+        raise UsageError(f"oracle values must be finite, got {' '.join(map(str, values))}")
     try:
         if args.shock_speed is not None:
             print(f"{rankine_hugoniot_speed(*args.shock_speed):.12g}")

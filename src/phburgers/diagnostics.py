@@ -195,15 +195,16 @@ def characteristics_solution(t: float, x, v0=gaussian_pulse, v0_slope=None):
 
     Inverts x = xi + t v0(xi) for the foot point xi by bracketed root
     finding (the map is strictly increasing while t < t*), then returns
-    v0(xi).  Accepts scalar or array x.
+    v0(xi).  Accepts scalar or array x.  Both must be finite, and the
+    comparisons are written so that NaN fails them.
     """
     from scipy.optimize import brentq
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not (0.0 <= t < np.inf and np.all(np.abs(x_arr) < np.inf)):
+        raise ValueError(f"need a finite t >= 0 and finite x, got t = {t}, x = {x}")
     t_star = shock_formation_time(v0, v0_slope)
     if t >= t_star:
         raise ValueError(f"characteristics cross at t* = {t_star:.6g}; got t = {t}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if t == 0.0:
         vals = np.asarray(v0(x_arr), dtype=float)
         return vals if np.ndim(x) else float(vals[0])

@@ -12,7 +12,6 @@ interconnection structure,
 
     M[i, j] = int phi_j phi_i dx        (mass, symmetric positive definite)
     D[i, j] = int phi_j phi_i' dx       (convection, skew-symmetric)
-    R[i, j] = int phi_j' phi_i dx       (= D^T on the interior basis)
 
 together with the state-dependent operators of the nonlinear constitutive
 relations,
@@ -23,8 +22,8 @@ relations,
 where ``w_d`` and ``v_d`` are the interior expansions of the coefficient
 vectors.  All integrals use a fixed 5-point Gauss-Legendre rule per
 element, exact for polynomials of degree <= 9; every integrand above has
-degree <= 6, so quadrature introduces no consistency error.  All four
-matrices share one fixed interior sparsity pattern, built once per mesh.
+degree <= 6, so quadrature introduces no consistency error.  M, D and W
+share one fixed interior sparsity pattern, built once per mesh.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class Mesh1D:
 
     @functools.cached_property
     def _interior_pattern(self) -> _ScatterPattern:
-        """Fixed CSR pattern of every interior matrix (M, D, R, W), built on first use."""
+        """Fixed CSR pattern of every interior matrix (M, D, W), built on first use."""
         return _scatter_pattern(self)
 
 
@@ -137,8 +136,8 @@ def mesh_for_width(h: float) -> Mesh1D:
 class FeOperators:
     """Assembled constant matrices of the discrete structure.
 
-    ``mass``, ``convection`` (D) and ``gradient`` (R) act on interior
-    coefficient vectors.  Everything is immutable after assembly and safe
+    ``mass`` (M) and ``convection`` (D) act on interior coefficient
+    vectors.  Everything is immutable after assembly and safe
     to share read-only, except ``newton_patterns``: the integrator fills
     it on first use with the fixed sparsity pattern of its Newton matrix,
     one per mode.
@@ -147,7 +146,6 @@ class FeOperators:
     mesh: Mesh1D
     mass: scipy.sparse.csr_matrix
     convection: scipy.sparse.csr_matrix
-    gradient: scipy.sparse.csr_matrix
     mass_banded: np.ndarray
     newton_patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -169,10 +167,10 @@ def _banded_lower(a: scipy.sparse.spmatrix, bandwidth: int) -> np.ndarray:
 
 
 def assemble_operators(mesh: Mesh1D) -> FeOperators:
-    """Assemble M, D and R for ``mesh``.
+    """Assemble M and D for ``mesh``.
 
     The local blocks are computed once by quadrature on the reference
-    element; D and R pick up no h factor because the derivative scaling
+    element; D picks up no h factor because the derivative scaling
     1/h cancels the element width in dx = h d(xi).
     """
     # local blocks: M_loc[a, b] = h * sum_q w_q phi_a phi_b, etc.
@@ -184,16 +182,11 @@ def assemble_operators(mesh: Mesh1D) -> FeOperators:
     # bitwise skew (the corner halves cancel pairwise at shared vertices),
     # so the structural identities hold to the last bit on every mesh.
     conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
-    mass, convection, gradient = (
+    mass, convection = (
         _interior_matrix(mesh, _interior_data(mesh, np.tile(local.ravel(), mesh.n_elems)))
-        for local in (mass_loc, conv_loc, conv_loc.T))
-    return FeOperators(
-        mesh=mesh,
-        mass=mass,
-        convection=convection,
-        gradient=gradient,
-        mass_banded=_banded_lower(mass, 2),
-    )
+        for local in (mass_loc, conv_loc))
+    return FeOperators(mesh=mesh, mass=mass, convection=convection,
+                       mass_banded=_banded_lower(mass, 2))
 
 
 def embed_interior(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:

@@ -4,23 +4,23 @@ One step drives the coupled residual of the dynamics row and the
 constitutive rows to zero at the end of the step.  step_residual
 builds it, the package's only step residual:
 
-    F(v, e, f, e_r) = [ M (v - v_n) - (dt/2) (D e - R e_r + g_n) ]
+    F(v, e, f, e_r) = [ M (v - v_n) - (dt/2) (D e + D e_r + g_n) ]
                       [ M e - N(v)                               ]
-                      [ M f - R^T e                              ]
+                      [ M f - D e                                ]
                       [ W(v) e_r - nu M f                        ]
 
-with g_n = (D e - R e_r) evaluated at the stored start-of-step state.
+with g_n = (D e + D e_r) evaluated at the stored start-of-step state.
 Newton updates all four fields together; its Jacobian, assembled by
 _newton_matrix and factored by SuperLU, is the sparse block matrix
 
-    [ M        -(dt/2) D   0       (dt/2) R ]
-    [ -W(v)     M          0       0        ]
-    [ 0        -R^T        M       0        ]
-    [ W(e_r)    0         -nu M    W(v)     ]
+    [ M        -(dt/2) D   0       -(dt/2) D ]
+    [ -W(v)     M          0       0         ]
+    [ 0        -D          M       0         ]
+    [ W(e_r)    0         -nu M    W(v)      ]
 
-(the inviscid case keeps only the first two rows).  The linearization
-of the weighted mass uses the symmetry of the underlying trilinear
-form: W(dv) e_r = W(e_r) dv.  Working on the coupled residual keeps
+(the inviscid step is its leading 2x2 block, in (v, e) alone).  The
+linearization of the weighted mass uses the symmetry of the underlying
+trilinear form: W(dv) e_r = W(e_r) dv.  Working on the coupled residual keeps
 every evaluation polynomial in the unknowns; no weighted-mass solve
 sits on the iteration path, which matters because W(v) is nearly
 singular wherever v_d nearly vanishes (the boundary zones of the pulse
@@ -127,50 +127,38 @@ def step_residual(ops: FeOperators, state_n: State, dt: float):
     docstring; g_n is computed once, here.  Every evaluation is
     polynomial in z, so F stays finite where W(v) is singular.
     """
-    M, D, R, mesh = ops.mass, ops.convection, ops.gradient, ops.mesh
-    v_n, nu, n = state_n.v, state_n.nu, mesh.n_interior
+    M, D, mesh = ops.mass, ops.convection, ops.mesh
+    v_n, nu, n, viscous = state_n.v, state_n.nu, mesh.n_interior, state_n.viscous
     g_n = phsystem.structure_apply(ops, state_n)
-    if not state_n.viscous:
-        def residual(z):
-            v, e = z[:n], z[n:]
-            return np.concatenate([
-                M @ (v - v_n) - 0.5 * dt * (D @ e + g_n),
-                M @ e - fem1d.assemble_quadratic_load(mesh, v),
-            ])
-        return residual
-
-    W = M.copy()  # W(v) shares M's pattern; its data is refilled per evaluation
+    W = M.copy() if viscous else None  # W(v) on M's pattern, refilled per evaluation
 
     def residual(z):
         v, e, f, r = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        De, Mf = D @ e, M @ f  # D e is bitwise R^T e
-        W.data = fem1d.weighted_mass_data(mesh, v)
-        return np.concatenate([
-            M @ (v - v_n) - 0.5 * dt * (De - R @ r + g_n),
-            M @ e - fem1d.assemble_quadratic_load(mesh, v),
-            Mf - De,
-            W @ r - nu * Mf,
-        ])
+        De = D @ e
+        rows = [M @ (v - v_n) - 0.5 * dt * ((De + D @ r if viscous else De) + g_n),
+                M @ e - fem1d.assemble_quadratic_load(mesh, v)]
+        if viscous:
+            Mf = M @ f
+            W.data = fem1d.weighted_mass_data(mesh, v)
+            rows += [Mf - De, W @ r - nu * Mf]
+        return np.concatenate(rows)
     return residual
 
 
 def _stacked_state(z: np.ndarray, nu: float, t: float) -> State:
     """The State whose fields are the stacked fields z of step_residual."""
-    if nu > 0.0:
-        v, e, f, r = np.split(z, 4)
-    else:
-        (v, e), f, r = np.split(z, 2), np.empty(0), np.empty(0)
+    n = z.size // (4 if nu > 0.0 else 2)
+    v, e, f, r = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
     return State(t=t, v=v, e=e, f_r=f, e_r=r, nu=nu)
 
 
-def _newton_layout(m, d, r, rt, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
-    """Block rows of the Newton matrix from the module docstring."""
-    if not viscous:
-        return [[m, d], [minus_wv, m]]
-    return [[m, d, None, r],
+def _newton_layout(m, dh, minus_d, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
+    """Block rows of the module docstring's Newton matrix; its leading 2x2 block if inviscid."""
+    rows = [[m, dh, None, dh],
             [minus_wv, m, None, None],
-            [None, rt, m, None],
+            [None, minus_d, m, None],
             [wr, None, m_nu, wv]]
+    return rows if viscous else [row[:2] for row in rows[:2]]
 
 
 def _newton_pattern(ops: FeOperators, viscous: bool):
@@ -180,12 +168,12 @@ def _newton_pattern(ops: FeOperators, viscous: bool):
     ``source[k]`` of the concatenated data arrays of the blocks, taken in
     row-major order.  Built once per operator set and mode, by one
     ``scipy.sparse.bmat`` call on the blocks with their data replaced by
-    running ids; M stands for every weighted mass, whose pattern it shares.
+    running ids; M stands for every block, as all share its pattern.
     """
     pattern = ops.newton_patterns.get(viscous)
     if pattern is None:
-        M, D, R = ops.mass, ops.convection, ops.gradient
-        rows = _newton_layout(M, D, R, R.T, M, M, M, M, viscous)
+        M = ops.mass
+        rows = _newton_layout(M, M, M, M, M, M, M, viscous)
         start = 1  # ids start at 1 so that none is a zero
         for row in rows:
             for j, block in enumerate(row):
@@ -208,12 +196,11 @@ def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.cs
     sparse matrix by a scalar, so the result is bitwise the matrix that
     ``scipy.sparse.bmat`` builds from the scaled blocks.
     """
-    M, D, R = ops.mass.data, ops.convection.data, ops.gradient.data
+    M, D = ops.mass.data, ops.convection.data
     Wv = fem1d.weighted_mass_data(ops.mesh, trial.v)
     Wr = fem1d.weighted_mass_data(ops.mesh, trial.e_r) if trial.viscous else None
-    # R^T, a transposed view, shares R's data array
-    rows = _newton_layout(M, D * (-0.5 * dt), R * (0.5 * dt), -R, -Wv, Wr,
-                          M * (-trial.nu), Wv, trial.viscous)
+    rows = _newton_layout(M, D * (-0.5 * dt), -D, -Wv, Wr, M * (-trial.nu), Wv,
+                          trial.viscous)
     data = np.concatenate([block for row in rows for block in row if block is not None])
     indptr, indices, source = _newton_pattern(ops, trial.viscous)
     n = indptr.size - 1

@@ -3,21 +3,21 @@ r"""Discrete port-Hamiltonian realization of the Burgers' system.
 The semi-discrete model keeps the interconnection structure constant and
 pushes all nonlinearity into constitutive relations:
 
-    M dv/dt = D e - R e_r        (dynamics)
+    M dv/dt = D e + D e_r        (dynamics)
     M e     = N(v)               (co-state: e_d ~ v_d^2/2)
-    M f_r   = R^T e              (dissipative flow)
+    M f_r   = D e                (dissipative flow)
     W(v) e_r = nu M f_r          (dissipative effort)
 
-with the inviscid case dropping the port rows and the R e_r term.  The
-co-state solve is the L2 projection of v_d^2/2 onto the P2 space; the
+with the inviscid case dropping the port rows and the D e_r term.  The
+paper's gradient matrix R = D^T is -D, because D is skew (see fem1d).
+The co-state solve is the L2 projection of v_d^2/2 onto the P2 space; the
 port solves realize f_r ~ d(e_d)/dx and v e_r = nu f_r weakly.  Chaining
 the relations gives the discrete power balances
 
     inviscid:  e^T M dv/dt = e^T D e = 0            (D skew-symmetric)
     viscous:   e^T M dv/dt = -(1/nu) int v_d e_rd^2 dx
 
-which hold to solver precision, independently of the mesh.  R^T is
-applied as D, which equals it bitwise (see fem1d).
+which hold to solver precision, independently of the mesh.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def solve_viscous_ports(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dissipative port pair (f_r, e_r) for a given (v, e).
 
-    Solves M f_r = R^T e, then W(v) e_r = nu M f_r.  Raises StepFailure
+    Solves M f_r = D e, then W(v) e_r = nu M f_r.  Raises StepFailure
     when weighted_mass_factor rejects W(v).
     """
     if nu <= 0.0:
@@ -125,7 +125,7 @@ def make_state(
     """Build a consistent State from velocity coefficients.
 
     Runs the constitutive solves so the invariants M e = N(v) and, in
-    viscous mode, M f_r = R^T e, W(v) e_r = nu M f_r hold on the result.
+    viscous mode, M f_r = D e, W(v) e_r = nu M f_r hold on the result.
     """
     v = np.asarray(v, dtype=float)
     e = project_costate(ops, v)
@@ -138,13 +138,13 @@ def make_state(
 
 
 def structure_apply(ops: FeOperators, state: State) -> np.ndarray:
-    """Right-hand side g = D e - R e_r of the dynamics row before the mass solve."""
+    """Right-hand side g = D e + D e_r of the dynamics row before the mass solve."""
     g = ops.convection @ state.e
     if state.viscous:
-        g = g - ops.gradient @ state.e_r
+        g = g + ops.convection @ state.e_r
     return g
 
 
 def rhs(ops: FeOperators, state: State) -> np.ndarray:
-    """Velocity rate w solving M w = D e - R e_r."""
+    """Velocity rate w solving M w = D e + D e_r."""
     return ops.solve_mass(structure_apply(ops, state))

@@ -1,7 +1,7 @@
 """Shared pytest wiring (an always-visible acceptance report section),
 the field samples, bitwise comparison and einsum kernel oracles the
-assembly guard tests share, and the dense co-state oracle of the
-projection tests."""
+assembly guard tests share, the full-assembly oracle of M, D and the
+paper's R, and the dense co-state oracle of the projection tests."""
 
 import numpy as np
 import scipy.sparse
@@ -63,6 +63,19 @@ def coo_interior(mesh, local):
     full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     idx = mesh.interior_to_global
     return full[np.ix_(idx, idx)].tocsr()
+
+
+def full_assembly_operators(mesh):
+    """Reference M, D, R: the constant local blocks tiled over the mesh, then coo_interior.
+
+    R = int phi_j' phi_i dx is the paper's gradient matrix, assembled from
+    the transposed convection block; the package applies it as -D.
+    """
+    mass_loc = mesh.h * np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._PHI, fem1d._PHI)
+    conv_q = np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._DPHI, fem1d._PHI)
+    conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
+    return tuple(coo_interior(mesh, np.tile(local.ravel(), mesh.n_elems))
+                 for local in (mass_loc, conv_loc, conv_loc.T.copy()))
 
 
 def einsum_weighted_mass(mesh, weight):

@@ -185,6 +185,12 @@ def test_characteristics_reject_bad_times():
         diagnostics.characteristics_solution(-0.1, 0.5)
     with pytest.raises(ValueError):
         diagnostics.characteristics_solution(PULSE_SHOCK_TIME, 0.5)
+    # NaN passes both range comparisons unless they are written to fail it
+    NAN, INF = float("nan"), float("inf")
+    for t, x in [(NAN, 0.5), (INF, 0.5), (-INF, 0.5), (0.1, NAN), (0.1, INF),
+                 (0.1, np.array([0.5, -INF])), (0.0, NAN)]:
+        with pytest.raises(ValueError, match=rf"need a finite t >= 0 and finite x, got t = {t}, "):
+            diagnostics.characteristics_solution(t, x)
 
 
 def test_characteristics_l2_error_is_interpolation_error_at_start():

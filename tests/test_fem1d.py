@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (FIELD_KINDS, assert_bitwise_equal, coo_interior, einsum_quadratic_load,
-                      einsum_weighted_mass, sample_field)
+                      einsum_weighted_mass, full_assembly_operators, sample_field)
 from phburgers import fem1d
 
 # Local 3x3 blocks on one element of width h, frozen from hand calculus
@@ -65,19 +65,22 @@ def test_assembled_blocks_match_frozen_locals(n_elems):
 
 @pytest.mark.parametrize("n_elems", [1, 2, 7, 100])
 def test_structure_identities_exact(n_elems):
-    """D skew and R = D^T hold bitwise; M admits a Cholesky factor."""
+    """D skew and the paper's R = D^T hold bitwise; M admits a Cholesky factor."""
     ops = fem1d.assemble_operators(fem1d.build_mesh(n_elems))
-    d = ops.convection.toarray()
-    r = ops.gradient.toarray()
+    D = ops.convection
+    R = full_assembly_operators(ops.mesh)[2]
+    d = D.toarray()
     assert np.abs(d + d.T).max() == 0.0
-    assert np.abs(r - d.T).max() == 0.0
+    assert np.abs(R.toarray() - d.T).max() == 0.0
     ops.mass_cholesky()
-    # the solver applies R^T as D: the matvecs agree to the bit, signed zeros included
+    # the solver applies R^T as D and g - R x as g + D x, for g a D matvec
+    # as in every residual: both agree to the bit, signed zeros included
     rng = np.random.default_rng(n_elems)
     for kind in FIELD_KINDS:
-        x = sample_field(kind, rng, ops.mesh.n_interior)
-        np.testing.assert_array_equal((ops.gradient.T @ x).view(np.int64),
-                                      (ops.convection @ x).view(np.int64))
+        x, y = (sample_field(kind, rng, ops.mesh.n_interior) for _ in range(2))
+        np.testing.assert_array_equal((R.T @ x).view(np.int64), (D @ x).view(np.int64))
+        np.testing.assert_array_equal((D @ y - R @ x).view(np.int64),
+                                      (D @ y + D @ x).view(np.int64))
 
 
 def test_quadrature_exact_to_degree_nine():
@@ -137,22 +140,23 @@ def test_weighted_mass_is_symmetric_trilinear_form():
         assert val == pytest.approx(ref, rel=1e-13)
 
 
-def full_assembly_operators(mesh):
-    """Reference M, D, R: the constant local blocks tiled over the mesh, then coo_interior."""
-    mass_loc = mesh.h * np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._PHI, fem1d._PHI)
-    conv_q = np.einsum("q,aq,bq->ab", fem1d._QW, fem1d._DPHI, fem1d._PHI)
-    conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
-    return tuple(coo_interior(mesh, np.tile(local.ravel(), mesh.n_elems))
-                 for local in (mass_loc, conv_loc, conv_loc.T.copy()))
-
-
 @pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
 def test_operators_are_bitwise_the_full_assembly(n_elems):
     mesh = fem1d.build_mesh(n_elems)
     ops = fem1d.assemble_operators(mesh)
-    for got, ref in zip((ops.mass, ops.convection, ops.gradient),
-                        full_assembly_operators(mesh)):
-        assert_bitwise_equal(got, ref)
+    M, D, R = full_assembly_operators(mesh)
+    assert_bitwise_equal(ops.mass, M)
+    assert_bitwise_equal(ops.convection, D)
+    # the paper's R is D^T bit for bit, and -D except for the signs of the
+    # stored diagonal zeros: +0 in R, -0 in -D
+    assert_bitwise_equal(R, D.T.tocsr())
+    minus_d = -D
+    np.testing.assert_array_equal(R.indices, minus_d.indices)
+    diagonal = R.indices == np.repeat(np.arange(mesh.n_interior), np.diff(R.indptr))
+    assert np.all(R.data[diagonal] == 0.0) and not np.any(np.signbit(R.data[diagonal]))
+    assert np.all(minus_d.data[diagonal] == 0.0) and np.all(np.signbit(minus_d.data[diagonal]))
+    np.testing.assert_array_equal(R.data[~diagonal].view(np.int64),
+                                  minus_d.data[~diagonal].view(np.int64))
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)

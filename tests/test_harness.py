@@ -350,6 +350,20 @@ def test_cli_oracle_solution(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--solution", "nan", "0.5"], ["--solution", "0.1", "inf"], ["--solution", "0.1", "nan"],
+    ["--shock-speed", "nan", "0"], ["--shock-speed", "1", "inf"],
+    ["--shock-dissipation", "inf", "0"], ["--shock-dissipation", "1", "nan"],
+])
+@pytest.mark.filterwarnings("error")
+def test_cli_oracle_rejects_non_finite_values(argv, capsys):
+    # a usage error that names the values, not a solver message or a warning
+    assert cli.main(["oracle", *argv]) == 1
+    captured = capsys.readouterr()
+    values = " ".join(str(float(a)) for a in argv[1:])
+    assert (captured.out, captured.err) == ("", f"error: oracle values must be finite, got {values}\n")
+
+
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["nope"]) == 1
     assert cli.main(["run", "--h", "0.3"]) == 1

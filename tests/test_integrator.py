@@ -8,7 +8,7 @@ import scipy.optimize
 import scipy.sparse
 
 from conftest import (FIELD_KINDS, assert_bitwise_equal, einsum_quadratic_load,
-                      einsum_weighted_mass, sample_field)
+                      einsum_weighted_mass, full_assembly_operators, sample_field)
 from phburgers import diagnostics, fem1d, integrator, phsystem
 
 
@@ -116,7 +116,7 @@ def test_newton_zero_dt_returns_start_state():
 
 @pytest.mark.parametrize("nu", [0.0, 2e-2])
 def test_single_element_step_is_identity(nu):
-    # one interior basis function: D = R = [0], so nothing moves
+    # one interior basis function: D = [0], so nothing moves
     ops = make_ops(1)
     st = phsystem.make_state(ops, np.array([0.8]), nu=nu)
     out, iters = integrator.newton_solve(ops, st, 0.1)
@@ -171,13 +171,13 @@ def test_newton_runs_out_of_iterations(monkeypatch):
 
 
 def coupled_residual(ops, state_n, dt, z):
-    """F(v, e, f, e_r) of the integrator's module docstring, from the operators.
+    """F(v, e, f, e_r) in the paper's form, with its R = D^T, from the operators.
 
-    Splits z with np.split and builds a fresh W(v) and N(v) with the
-    einsum oracles on every call, so it shares no kernel and no state
-    with step_residual.
+    Splits z with np.split, takes R from the full-assembly oracle and
+    builds a fresh W(v) and N(v) with the einsum oracles on every call,
+    so it shares no kernel and no state with step_residual.
     """
-    M, D, R = ops.mass, ops.convection, ops.gradient
+    M, D = ops.mass, ops.convection
     if not state_n.viscous:
         v, e = np.split(z, 2)
         return np.concatenate([
@@ -185,6 +185,7 @@ def coupled_residual(ops, state_n, dt, z):
             M @ e - einsum_quadratic_load(ops.mesh, v),
         ])
     v, e, f, r = np.split(z, 4)
+    R = full_assembly_operators(ops.mesh)[2]
     g_n = D @ state_n.e - R @ state_n.e_r
     return np.concatenate([
         M @ (v - state_n.v) - 0.5 * dt * (D @ e - R @ r + g_n),
@@ -265,17 +266,23 @@ def test_step_residual_keeps_no_state_between_evaluations(nu):
     assert first.tobytes() != second.tobytes()
 
 
-def bmat_newton_matrix(ops, trial, dt):
-    """Reference Newton matrix: the scaled blocks stacked by scipy.sparse.bmat."""
-    M, D, R = ops.mass, ops.convection, ops.gradient
+def bmat_newton_matrix(ops, trial, dt, R=None):
+    """Reference Newton matrix: the scaled blocks stacked by scipy.sparse.bmat.
+
+    The blocks are those of the integrator's module docstring, or, given
+    the paper's R, the same matrix written with R = D^T in the port column
+    and row: (dt/2) R at (0, 3) and -R^T at (2, 1).
+    """
+    M, D = ops.mass, ops.convection
     Wv = fem1d.assemble_weighted_mass(ops.mesh, trial.v)
     if not trial.viscous:
         return scipy.sparse.bmat([[M, -0.5 * dt * D], [-Wv, M]], format="csc")
     Wr = fem1d.assemble_weighted_mass(ops.mesh, trial.e_r)
+    port, flow = (-0.5 * dt * D, -D) if R is None else (0.5 * dt * R, -R.T)
     return scipy.sparse.bmat(
-        [[M, -0.5 * dt * D, None, 0.5 * dt * R],
+        [[M, -0.5 * dt * D, None, port],
          [-Wv, M, None, None],
-         [None, -R.T, M, None],
+         [None, flow, M, None],
          [Wr, None, -trial.nu * M, Wv]], format="csc")
 
 
@@ -290,8 +297,22 @@ def test_newton_matrix_is_bitwise_the_bmat_stack(n_elems, nu, kind):
         z = np.concatenate([sample_field(kind, rng, ops.mesh.n_interior)
                             for _ in range(n_fields)])
         trial = integrator._stacked_state(z, nu, 0.0)
-        assert_bitwise_equal(integrator._newton_matrix(ops, trial, dt),
-                             bmat_newton_matrix(ops, trial, dt))
+        A = integrator._newton_matrix(ops, trial, dt)
+        assert_bitwise_equal(A, bmat_newton_matrix(ops, trial, dt))
+        if nu > 0.0:
+            # the paper's R-form equals it entry by entry, NaNs in the same
+            # places; only the diagonal zeros of block (0, 3) differ, +0 there
+            # against -0 here, and all of them do
+            P = bmat_newton_matrix(ops, trial, dt, R=full_assembly_operators(ops.mesh)[2])
+            np.testing.assert_array_equal(P.indptr, A.indptr)
+            np.testing.assert_array_equal(P.indices, A.indices)
+            np.testing.assert_array_equal(P.data, A.data)
+            n = ops.mesh.n_interior
+            cols = np.repeat(np.arange(4 * n), np.diff(A.indptr))
+            port_diagonal = (A.indices < n) & (cols == A.indices + 3 * n)
+            differ = P.data.view(np.int64) != A.data.view(np.int64)
+            np.testing.assert_array_equal(differ, port_diagonal)
+            assert np.all(A.data[differ] == 0.0) and np.all(np.signbit(A.data[differ]))
 
 
 # ------------------------------------------------------------ step loop

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_projection_oracle
+from conftest import dense_projection_oracle, full_assembly_operators
 from phburgers import fem1d, phsystem
 
 
@@ -27,7 +27,7 @@ def test_make_state_satisfies_constitutive_relations():
     assert st.viscous and st.t == 0.25
     n = fem1d.assemble_quadratic_load(ops.mesh, v)
     assert np.linalg.norm(ops.mass @ st.e - n) <= 1e-12 * np.linalg.norm(n)
-    flow = ops.gradient.T @ st.e
+    flow = full_assembly_operators(ops.mesh)[2].T @ st.e  # R^T e, R the paper's
     assert np.linalg.norm(ops.mass @ st.f_r - flow) <= 1e-12 * np.linalg.norm(flow)
     W = fem1d.assemble_weighted_mass(ops.mesh, v)
     lhs = W @ st.e_r
