@@ -12,9 +12,9 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 goes only to files (the `oracle` subcommand prints its requested values
 to stdout, which are its data).
 
-Options may also come from a flat key=value config file via --config;
-explicit flags win over file entries, and a key the subcommand has no
-flag for is a usage error.
+Options may also come from a flat key=value config file via --config:
+each line ``key = value`` is the flag --key=value (underscores as
+dashes), read before the command line's flags, which therefore win.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .diagnostics import (
     shock_formation_time,
 )
 from .integrator import RunConfig, run_simulation
-from .sweep import SweepGrid, atomic_write_text, emit_table, run_sweep, write_run_outputs
+from .sweep import (TABLE_FORMATS, SweepGrid, atomic_write_text, emit_table, run_sweep,
+                    write_run_outputs)
 
 
 class UsageError(Exception):
@@ -47,63 +48,33 @@ def _float_list(text: str) -> tuple:
     return tuple(float(x) for x in text.split(","))
 
 
-_TABLE_FORMATS = ("csv", "text")
+def _config_flags(parser: _Parser, command: str, path: str) -> list[str]:
+    """The lines of a key=value config file as flags of ``command``, each checked.
 
-
-def _table_format(text: str) -> str:
-    if text not in _TABLE_FORMATS:
-        raise ValueError(f"expected one of {', '.join(_TABLE_FORMATS)}, got {text!r}")
-    return text
-
-
-# keys a config file may set, with their conversions
-_CONFIG_TYPES = {
-    "h": float,
-    "alpha": float,
-    "beta": float,
-    "t_final": float,
-    "snapshots": int,
-    "out_dir": str,
-    "workers": int,
-    "format": _table_format,
-    "alphas": _float_list,
-    "betas": _float_list,
-    "hs": _float_list,
-}
-
-
-def _parse_config_file(path: str, args: argparse.Namespace) -> dict:
-    """Values of the file's keys; each must be one the subcommand has a flag for."""
-    values = {}
+    A key must be the dest of one of the subcommand's flags; the line
+    ``key = value`` is the flag ``--key=value``, underscores turned into dashes.
+    """
+    keys = vars(parser.parse_args([command])).keys() - {"command", "config"}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from exc
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        if not hasattr(args, key):
-            raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in keys:
+            raise UsageError(f"{path}:{lineno}: {command} takes no key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
         try:
-            values[key] = _CONFIG_TYPES[key](text)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return values
-
-
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill flag values that were not given from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    for key, value in _parse_config_file(args.config, args).items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+            parser.parse_args([command, flags[-1]])
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from exc
+    return flags
 
 
 def _check_out_dir(out_dir) -> None:
@@ -120,25 +91,34 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
+        p.add_argument("--out-dir", dest="out_dir", default="phburgers_out",
+                       help="output directory (default %(default)s)")
 
     p_run = sub.add_parser("run", help="run one simulation")
     add_common(p_run)
     p_run.add_argument("--h", type=float, help="element width, required (1/h integral)")
-    p_run.add_argument("--alpha", type=float, help="dt0 = alpha * h (default 1)")
-    p_run.add_argument("--beta", type=float, help="nu = beta * h / alpha (0 = inviscid)")
-    p_run.add_argument("--t-final", dest="t_final", type=float, help="end time (default 0.4)")
-    p_run.add_argument("--snapshots", type=int, help="snapshot count (default 50)")
+    p_run.add_argument("--alpha", type=float, default=RunConfig.alpha,
+                       help="dt0 = alpha * h (default %(default)s)")
+    p_run.add_argument("--beta", type=float, default=RunConfig.beta,
+                       help="nu = beta * h / alpha, 0 = inviscid (default %(default)s)")
+    p_run.add_argument("--t-final", dest="t_final", type=float, default=RunConfig.t_final,
+                       help="end time (default %(default)s)")
+    p_run.add_argument("--snapshots", type=int, default=RunConfig.n_snapshots,
+                       help="snapshot count (default %(default)s)")
 
     p_sweep = sub.add_parser("sweep", help="run the (alpha, beta, h) study")
     add_common(p_sweep)
-    p_sweep.add_argument("--alphas", type=_float_list, help="comma list (default 0.5,1,2)")
-    p_sweep.add_argument("--betas", type=_float_list, help="comma list (default 0,1,2,5)")
-    p_sweep.add_argument("--hs", type=_float_list,
-                         help="comma list (default 5e-4,1e-3,2.5e-3,5e-3,1e-2)")
-    p_sweep.add_argument("--t-final", dest="t_final", type=float, help="end time (default 0.4)")
+    p_sweep.add_argument("--alphas", type=_float_list, default=SweepGrid.alphas,
+                         help="comma list (default %(default)s)")
+    p_sweep.add_argument("--betas", type=_float_list, default=SweepGrid.betas,
+                         help="comma list (default %(default)s)")
+    p_sweep.add_argument("--hs", type=_float_list, default=SweepGrid.hs,
+                         help="comma list (default %(default)s)")
+    p_sweep.add_argument("--t-final", dest="t_final", type=float, default=SweepGrid.t_final,
+                         help="end time (default %(default)s)")
     p_sweep.add_argument("--workers", type=int, help="worker processes (default: cores)")
-    p_sweep.add_argument("--format", choices=_TABLE_FORMATS, help="table format")
+    p_sweep.add_argument("--format", choices=TABLE_FORMATS, default="csv",
+                         help="table format (default %(default)s)")
 
     sub.add_parser("verify", help="run the built-in check battery")
 
@@ -158,44 +138,33 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     if args.h is None:
         raise UsageError("the element width h is required (--h or a config file entry)")
-    kwargs = {}
-    for key in ("h", "alpha", "beta", "t_final"):
-        if getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
-    if args.snapshots is not None:
-        kwargs["n_snapshots"] = args.snapshots
     try:
-        config = RunConfig(**kwargs)
+        config = RunConfig(h=args.h, alpha=args.alpha, beta=args.beta, t_final=args.t_final,
+                           n_snapshots=args.snapshots)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out_dir = args.out_dir or "phburgers_out"
-    _check_out_dir(out_dir)
+    _check_out_dir(args.out_dir)
     result = run_simulation(config)
-    paths = write_run_outputs(result, out_dir)
+    paths = write_run_outputs(result, args.out_dir)
     print(f"run: t reached {result.t_reached:.6g} of {config.t_final:g}, "
           f"{result.n_steps} steps, Var {result.var:.3e}, "
           f"termination {result.termination_reason}; "
-          f"{len(paths)} files in {out_dir}", file=sys.stderr)
+          f"{len(paths)} files in {args.out_dir}", file=sys.stderr)
     for flag in result.flags:
         print(f"run: flagged {flag}", file=sys.stderr)
     return 3 if result.termination_reason == "dt_underflow" else 0
 
 
 def _cmd_sweep(args) -> int:
-    grid_kwargs = {}
-    for key in ("alphas", "betas", "hs", "t_final"):
-        if getattr(args, key) is not None:
-            grid_kwargs[key] = getattr(args, key)
-    out_dir = Path(args.out_dir or "phburgers_out")
+    out_dir = Path(args.out_dir)
     _check_out_dir(out_dir)
     try:
-        grid = SweepGrid(**grid_kwargs)
+        grid = SweepGrid(alphas=args.alphas, betas=args.betas, hs=args.hs, t_final=args.t_final)
         result = run_sweep(grid, workers=args.workers, out_dir=out_dir)
     except ValueError as exc:  # a bad value, found before any cell runs
         raise UsageError(str(exc)) from exc
-    fmt = args.format or "csv"
-    path = out_dir / ("table.csv" if fmt == "csv" else "table.txt")
-    atomic_write_text(path, emit_table(result, fmt))
+    path = out_dir / ("table.csv" if args.format == "csv" else "table.txt")
+    atomic_write_text(path, emit_table(result, args.format))
     n_bad = sum(c.termination.startswith("error") for c in result.cells)
     print(f"sweep: {len(result.cells)} cells, {n_bad} errored; table at {path}",
           file=sys.stderr)
@@ -213,21 +182,24 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     values = args.shock_speed or args.shock_dissipation or args.solution or []
+    named = " ".join(map(str, values))
     if not all(abs(value) < float("inf") for value in values):
-        raise UsageError(f"oracle values must be finite, got {' '.join(map(str, values))}")
+        raise UsageError(f"oracle values must be finite, got {named}")
     try:
         if args.shock_speed is not None:
-            print(f"{rankine_hugoniot_speed(*args.shock_speed):.12g}")
+            results = (rankine_hugoniot_speed(*args.shock_speed),)
         elif args.shock_dissipation is not None:
-            de, dh = shock_dissipation(*args.shock_dissipation)
-            print(f"{de:.12g} {dh:.12g}")
+            results = shock_dissipation(*args.shock_dissipation)
         elif args.shock_time:
-            print(f"{shock_formation_time():.12g}")
+            results = (shock_formation_time(),)
         else:
-            t, x = args.solution
-            print(f"{characteristics_solution(t, x):.12g}")
+            results = (characteristics_solution(*args.solution),)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if not all(abs(r) < float("inf") for r in results):
+        raise UsageError(f"oracle result for {named} is not finite: "
+                         f"{' '.join(map(str, results))}")
+    print(" ".join(f"{r:.12g}" for r in results))
     return 0
 
 
@@ -241,9 +213,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         args = parser.parse_args(argv)
-        _merge_config(args)
+        if getattr(args, "config", None):  # the file's flags first, so the command line's win
+            flags = _config_flags(parser, args.command, args.config)
+            args = parser.parse_args([args.command, *flags, *argv[1:]])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,13 +190,15 @@ def shock_formation_time(v0=gaussian_pulse, v0_slope=None) -> float:
     return -1.0 / s_min
 
 
+@np.errstate(over="ignore")
 def characteristics_solution(t: float, x, v0=gaussian_pulse, v0_slope=None):
     """Exact smooth solution v(t, x) before the shock time.
 
     Inverts x = xi + t v0(xi) for the foot point xi by bracketed root
     finding (the map is strictly increasing while t < t*), then returns
     v0(xi).  Accepts scalar or array x.  Both must be finite, and the
-    comparisons are written so that NaN fails them.
+    comparisons are written so that NaN fails them.  Overflow is not
+    reported: where the pulse's square overflows, exp(-inf) = 0 is exact.
     """
     from scipy.optimize import brentq
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -253,7 +255,8 @@ def shock_dissipation(v_l: float, v_r: float) -> tuple[float, float]:
     when the states are positive.
     """
     jump = v_r - v_l
-    return jump**3 / 12.0, jump**3 * (v_r + v_l) / 24.0
+    cube = jump * jump * jump  # overflows to inf where ** raises, and is exactly odd
+    return cube / 12.0, cube * (v_r + v_l) / 24.0
 
 
 # a developed front must steepen well past the initial profile

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -137,17 +137,13 @@ class FeOperators:
     """Assembled constant matrices of the discrete structure.
 
     ``mass`` (M) and ``convection`` (D) act on interior coefficient
-    vectors.  Everything is immutable after assembly and safe
-    to share read-only, except ``newton_patterns``: the integrator fills
-    it on first use with the fixed sparsity pattern of its Newton matrix,
-    one per mode.
+    vectors.  Everything is immutable and safe to share read-only.
     """
 
     mesh: Mesh1D
     mass: scipy.sparse.csr_matrix
     convection: scipy.sparse.csr_matrix
     mass_banded: np.ndarray
-    newton_patterns: dict = field(default_factory=dict, repr=False, compare=False)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the banded Cholesky of the SPD mass matrix."""

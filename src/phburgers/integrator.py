@@ -40,6 +40,7 @@ newton_solve).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,31 +162,29 @@ def _newton_layout(m, dh, minus_d, minus_wv, wr, m_nu, wv, viscous: bool) -> lis
     return rows if viscous else [row[:2] for row in rows[:2]]
 
 
-def _newton_pattern(ops: FeOperators, viscous: bool):
+@functools.lru_cache(maxsize=None)
+def _newton_pattern(n_elems: int, viscous: bool):
     """CSC pattern of the Newton matrix and, per entry, its source.
 
     Returns ``(indptr, indices, source)``: entry k of the matrix is entry
     ``source[k]`` of the concatenated data arrays of the blocks, taken in
-    row-major order.  Built once per operator set and mode, by one
-    ``scipy.sparse.bmat`` call on the blocks with their data replaced by
-    running ids; M stands for every block, as all share its pattern.
+    row-major order.  Built once per mesh and mode, by one
+    ``scipy.sparse.bmat`` call on blocks that hold running ids on the
+    interior pattern, which every block shares.
     """
-    pattern = ops.newton_patterns.get(viscous)
-    if pattern is None:
-        M = ops.mass
-        rows = _newton_layout(M, M, M, M, M, M, M, viscous)
-        start = 1  # ids start at 1 so that none is a zero
-        for row in rows:
-            for j, block in enumerate(row):
-                if block is not None:
-                    row[j] = block.copy()
-                    row[j].data = np.arange(start, start + block.nnz, dtype=float)
-                    start += block.nnz
-        A = scipy.sparse.bmat(rows, format="csc")
-        pattern = (A.indptr, A.indices, A.data.astype(np.intp) - 1)
-        for a in pattern:
-            a.setflags(write=False)
-        ops.newton_patterns[viscous] = pattern
+    mesh = fem1d.build_mesh(n_elems)
+    nnz = mesh._interior_pattern.indices.size
+    rows = _newton_layout(*[mesh] * 7, viscous)  # any non-None value marks a block
+    start = 1  # ids start at 1 so that none is a zero
+    for row in rows:
+        for j, block in enumerate(row):
+            if block is not None:
+                row[j] = fem1d._interior_matrix(mesh, np.arange(start, start + nnz, dtype=float))
+                start += nnz
+    A = scipy.sparse.bmat(rows, format="csc")
+    pattern = (A.indptr, A.indices, A.data.astype(np.intp) - 1)
+    for a in pattern:
+        a.setflags(write=False)
     return pattern
 
 
@@ -202,7 +201,7 @@ def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.cs
     rows = _newton_layout(M, D * (-0.5 * dt), -D, -Wv, Wr, M * (-trial.nu), Wv,
                           trial.viscous)
     data = np.concatenate([block for row in rows for block in row if block is not None])
-    indptr, indices, source = _newton_pattern(ops, trial.viscous)
+    indptr, indices, source = _newton_pattern(ops.mesh.n_elems, trial.viscous)
     n = indptr.size - 1
     return scipy.sparse.csc_matrix((data[source], indices, indptr), shape=(n, n))
 

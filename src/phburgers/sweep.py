@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ SNAPSHOT_HEADER = ("x", "v", "e", "e_r")
 class SweepGrid:
     """Cartesian study grid; defaults match the full stability study.
 
-    Every cell runs to the horizon ``t_final``.  All values must be
-    finite; the comparisons are written so that NaN fails them.  No two
-    cells may share a :func:`cell_tag`, the name of their ledger file.
+    Every cell runs to the horizon ``t_final``, and each must be a valid
+    :class:`RunConfig`.  No two cells may share a :func:`cell_tag`, the
+    name of their ledger file.
     """
 
     alphas: tuple = (0.5, 1.0, 2.0)
@@ -51,17 +50,9 @@ class SweepGrid:
     t_final: float = RunConfig.t_final
 
     def __post_init__(self):
-        if not all(0 < a < math.inf for a in self.alphas):
-            raise ValueError("alphas must be positive and finite")
-        if not all(0 <= b < math.inf for b in self.betas):
-            raise ValueError("betas must be nonnegative and finite")
-        if not all(0 < h < math.inf for h in self.hs):
-            raise ValueError("element widths must be positive and finite")
-        if not 0 <= self.t_final < math.inf:
-            raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         tags = set()
-        for cell in self.cells():
-            tag = cell_tag(*cell)
+        for config in self.configs():
+            tag = cell_tag(config.alpha, config.beta, config.h)
             if tag in tags:
                 raise ValueError(f"two cells share the ledger name {tag}; grid values "
                                  "must differ in their first 6 significant digits")
@@ -69,6 +60,10 @@ class SweepGrid:
 
     def cells(self) -> list[tuple[float, float, float]]:
         return [(a, b, h) for a in self.alphas for b in self.betas for h in self.hs]
+
+    def configs(self) -> list[RunConfig]:
+        """Each cell's RunConfig, in :meth:`cells` order; raises ValueError for a bad value."""
+        return [RunConfig(h=h, alpha=a, beta=b, t_final=self.t_final) for a, b, h in self.cells()]
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,9 @@ def cell_tag(alpha: float, beta: float, h: float) -> str:
 
 
 def _run_cell(payload) -> SweepCell:
-    alpha, beta, h, t_final, out_dir = payload
+    config, out_dir = payload
+    alpha, beta, h = config.alpha, config.beta, config.h
     try:
-        config = RunConfig(h=h, alpha=alpha, beta=beta, t_final=t_final)
         result = run_simulation(config)
         if out_dir is not None:
             path = Path(out_dir) / f"ledger_{cell_tag(alpha, beta, h)}.csv"
@@ -130,8 +125,7 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    payloads = [(a, b, h, grid.t_final, os.fspath(out_dir) if out_dir else None)
-                for (a, b, h) in grid.cells()]
+    payloads = [(config, os.fspath(out_dir) if out_dir else None) for config in grid.configs()]
     # the pool starts all its processes at once, wanted or not
     workers = min(workers, len(payloads))
     if workers <= 1:
@@ -201,13 +195,14 @@ def format_table_text(result: SweepResult) -> str:
     return "\n".join(lines)
 
 
+TABLE_FORMATS = {"csv": format_table_csv, "text": format_table_text}
+
+
 def emit_table(result: SweepResult, format: str = "csv") -> str:
-    """Serialize a sweep result; ``format`` is "csv" or "text"."""
-    if format == "csv":
-        return format_table_csv(result)
-    if format == "text":
-        return format_table_text(result)
-    raise ValueError(f"unknown table format: {format!r}")
+    """Serialize a sweep result in one of the TABLE_FORMATS."""
+    if format not in TABLE_FORMATS:
+        raise ValueError(f"unknown table format: {format!r}")
+    return TABLE_FORMATS[format](result)
 
 
 def format_ledger_csv(ledger: PowerLedger) -> str:

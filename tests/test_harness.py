@@ -180,8 +180,12 @@ def test_sweep_rejects_fewer_than_one_worker(monkeypatch, tmp_path, capsys):
     assert not out.exists() and RecordingPool.sizes == []
 
 
-def test_sweep_records_failing_cell_without_raising():
-    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.3,))
+def test_sweep_records_failing_cell_without_raising(monkeypatch):
+    def fail(config):
+        raise ValueError(f"no run at h = {config.h}")
+
+    monkeypatch.setattr(sweep, "run_simulation", fail)
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0,), hs=(0.5,))
     result = sweep.run_sweep(grid, workers=1)
     cell = result.cells[0]
     assert cell.termination.startswith("error: ValueError")
@@ -364,6 +368,25 @@ def test_cli_oracle_rejects_non_finite_values(argv, capsys):
     assert (captured.out, captured.err) == ("", f"error: oracle values must be finite, got {values}\n")
 
 
+@pytest.mark.parametrize("argv, results", [
+    (["--shock-dissipation", "1e200", "0"], "-inf -inf"),
+    (["--shock-speed", "1.7e308", "1.7e308"], "inf"),
+])
+def test_cli_oracle_refuses_non_finite_results(argv, results, capsys):
+    # finite values whose result overflows: a usage error, not a traceback or an inf
+    assert cli.main(["oracle", *argv]) == 1
+    captured = capsys.readouterr()
+    values = " ".join(str(float(a)) for a in argv[1:])
+    assert (captured.out, captured.err) == (
+        "", f"error: oracle result for {values} is not finite: {results}\n")
+
+
+def test_cli_oracle_solution_far_outside_is_zero_without_warning(capsys):
+    # the bracket search evaluates the pulse near 1e308, where it is exactly 0
+    assert cli.main(["oracle", "--solution", "0.1", "1e308"]) == 0
+    assert capsys.readouterr() == ("0\n", "")
+
+
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["nope"]) == 1
     assert cli.main(["run", "--h", "0.3"]) == 1
@@ -450,7 +473,7 @@ def test_cli_config_file_errors(tmp_path, capsys):
     bogus = tmp_path / "bad.cfg"
     bogus.write_text("h = 0.1\nbogus = 3\n")
     assert cli.main(["run", "--config", str(bogus)]) == 1
-    assert "unknown key" in capsys.readouterr().err
+    assert f"{bogus}:2: run takes no key 'bogus'" in capsys.readouterr().err
     malformed = tmp_path / "mal.cfg"
     malformed.write_text("just words\n")
     assert cli.main(["run", "--config", str(malformed)]) == 1
@@ -461,7 +484,7 @@ def test_cli_config_file_errors(tmp_path, capsys):
     fmt.write_text("hs = 0.1\nformat = json\n")
     out = tmp_path / "study"
     assert cli.main(["sweep", "--config", str(fmt), "--out-dir", str(out)]) == 1
-    assert f"{fmt}:2: bad value for format" in capsys.readouterr().err
+    assert f"{fmt}:2: argument --format: invalid choice: 'json'" in capsys.readouterr().err
     assert not out.exists()
     # a key of the other subcommand is refused, not silently dropped
     foreign = tmp_path / "foreign.cfg"
@@ -470,6 +493,56 @@ def test_cli_config_file_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", str(foreign), "--out-dir", str(out)]) == 1
     assert f"{foreign}:3: run takes no key 'hs'" in capsys.readouterr().err
     assert not out.exists()
+
+
+class Built(Exception):
+    """Raised in place of a simulation, once its configuration is built."""
+
+
+@pytest.fixture
+def built(tmp_path, monkeypatch):
+    """What cli.main hands to run_simulation or run_sweep; neither runs."""
+    seen = []
+
+    def capture(config, **kwargs):
+        seen.append(config)
+        raise Built
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_simulation", capture)
+    monkeypatch.setattr(cli, "run_sweep", capture)
+    return seen
+
+
+def test_cli_defaults_are_the_dataclass_defaults(built, tmp_path):
+    for argv in (["run", "--h", "0.1"], ["sweep"]):
+        with pytest.raises(Built):
+            cli.main(argv)
+    assert built == [integrator.RunConfig(h=0.1), sweep.SweepGrid()]
+    assert not (tmp_path / "phburgers_out").exists()
+
+
+def test_cli_flag_before_config_beats_the_file(built, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 0.1\nalpha = 2\nt_final = 0.05\n")
+    with pytest.raises(Built):
+        cli.main(["run", "--t-final", "0.02", "--config", str(cfg)])
+    assert built == [integrator.RunConfig(h=0.1, alpha=2.0, t_final=0.02)]
+
+
+@pytest.mark.parametrize("key", ["config", "alph"])
+def test_cli_config_refuses_config_and_abbreviated_keys(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"h = 0.1\n{key} = 2\n")
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: run takes no key {key!r}\n"
+
+
+def test_cli_sweep_refuses_a_width_that_does_not_divide(built, capsys):
+    assert cli.main(["sweep", "--hs", "0.3"]) == 1
+    assert built == []
+    assert capsys.readouterr().err == (
+        "error: element width 0.3 does not divide the unit interval\n")
 
 
 def test_cli_verify_passes(capsys):
