@@ -12,11 +12,11 @@ and the per-run ledger that accumulates them along with the balance
 residual bal(t) = H(t) + QH(t) - H(0), whose maximum relative size is
 the stability indicator Var.
 
-The second kind is exact reference material for the smooth regime of the
-inviscid equation: the method of characteristics (v constant along
-x = xi + t v0(xi)), the shock formation time t* = -1/min v0', the
-Rankine-Hugoniot front speed (v_l + v_r)/2, and the jump contributions
-to the energy budgets,
+The second kind is exact reference material for the inviscid equation
+with the pulse data v0: the method of characteristics (v constant along
+x = xi + t v0(xi)), the shock time t* = 1/max|v0'| = e^{1/2}/10 (at
+xi* = 0.6, front born at x = 0.7), the Rankine-Hugoniot front speed
+(v_l + v_r)/2, and the jump contributions to the energy budgets,
 
     dE_shock = (v_r - v_l)^3 / 12,
     dH_shock = (v_r - v_l)^3 (v_r + v_l) / 24,
@@ -26,15 +26,13 @@ all of which the viscous runs should approach as the viscosity shrinks.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import fem1d
 from .fem1d import Mesh1D
 from .phsystem import State
-
-
-class NoShockError(ValueError):
-    """The initial profile never steepens into a shock."""
 
 
 class NoFrontError(ValueError):
@@ -153,91 +151,53 @@ def balance_variation(ledger: PowerLedger) -> float:
     return float(np.max(np.abs(bal)) / max(abs(ledger.initial_hamiltonian), 1e-300))
 
 
-def _slope(v0, v0_slope):
-    """``v0_slope`` if given, else the pulse's exact slope or a central difference of v0."""
-    if v0_slope is not None:
-        return v0_slope
-    if v0 is gaussian_pulse:
-        return gaussian_pulse_slope
-    eps = 1e-7
-
-    def fd_slope(x):
-        return (v0(np.asarray(x) + eps) - v0(np.asarray(x) - eps)) / (2.0 * eps)
-
-    return fd_slope
+# the pulse is steepest at xi* = 0.6, where v0'(xi*) = -10 e^{-1/2}
+PULSE_STEEPEST_POINT = 0.6
+PULSE_MAX_SLOPE = 10.0 * math.exp(-0.5)
 
 
-def shock_formation_time(v0=gaussian_pulse, v0_slope=None) -> float:
-    """First crossing time of characteristics, t* = -1 / min v0'.
-
-    The minimizing slope is located by dense sampling over [0, 1]
-    followed by a bounded local refinement.  Profiles with nowhere
-    negative slope never shock; that raises NoShockError.
-    """
-    # scipy.optimize, a quarter of the package import, loads on first use in the shock oracles
-    from scipy.optimize import minimize_scalar
-    v0_slope = _slope(v0, v0_slope)
-    xs = np.linspace(0.0, 1.0, 2001)
-    slopes = np.asarray(v0_slope(xs))
-    k = int(np.argmin(slopes))
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, xs.size - 1)]
-    res = minimize_scalar(lambda x: float(v0_slope(x)), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    s_min = min(float(res.fun), float(slopes[k]))
-    if s_min >= 0.0:
-        raise NoShockError("initial slope is nowhere negative; no shock forms")
-    return -1.0 / s_min
+def shock_formation_time() -> float:
+    """First crossing time t* = 1 / max|v0'| = e^{1/2}/10 of the pulse's characteristics."""
+    # the double nearest t*; 1 / PULSE_MAX_SLOPE rounds to the next one up
+    return math.exp(0.5) / 10.0
 
 
 @np.errstate(over="ignore")
-def characteristics_solution(t: float, x, v0=gaussian_pulse, v0_slope=None):
-    """Exact smooth solution v(t, x) before the shock time.
+def characteristics_solution(t: float, x):
+    """Exact smooth solution v(t, x) of the pulse before the shock time.
 
-    Inverts x = xi + t v0(xi) for the foot point xi by bracketed root
-    finding (the map is strictly increasing while t < t*), then returns
-    v0(xi).  Accepts scalar or array x.  Both must be finite, and the
-    comparisons are written so that NaN fails them.  Overflow is not
-    reported: where the pulse's square overflows, exp(-inf) = 0 is exact.
+    Inverts x = xi + t v0(xi) for the foot point xi and returns v0(xi).
+    As 0 <= v0 <= 1, xi lies in [x - t, x], where the map increases while
+    t < t*; one bisection for all x halves that bracket below 1e-20.
+    Accepts scalar or array x.  Both must be finite, and the comparisons
+    are written so that NaN fails them.  Overflow is not reported: where
+    the pulse's square overflows, exp(-inf) = 0 is exact.
     """
-    from scipy.optimize import brentq
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not (0.0 <= t < np.inf and np.all(np.abs(x_arr) < np.inf)):
         raise ValueError(f"need a finite t >= 0 and finite x, got t = {t}, x = {x}")
-    t_star = shock_formation_time(v0, v0_slope)
+    t_star = shock_formation_time()
     if t >= t_star:
         raise ValueError(f"characteristics cross at t* = {t_star:.6g}; got t = {t}")
     if t == 0.0:
-        vals = np.asarray(v0(x_arr), dtype=float)
+        vals = gaussian_pulse(x_arr)
         return vals if np.ndim(x) else float(vals[0])
 
-    probe = np.asarray(v0(np.linspace(0.0, 1.0, 2001)))
-    v_lo, v_hi = float(np.min(probe)), float(np.max(probe))
-    pad = 1e-9 + 1e-3 * t * (v_hi - v_lo + 1.0)
-
-    vals = np.empty_like(x_arr)
-    for i, xi_target in enumerate(x_arr):
-        def depart(xi):
-            return xi + t * float(v0(xi)) - xi_target
-
-        lo = xi_target - t * v_hi - pad
-        hi = xi_target - t * v_lo + pad
-        # widen until the root is bracketed (profiles may overshoot the
-        # [0, 1] probe range when evaluated outside it)
-        for _ in range(60):
-            if depart(lo) <= 0.0 <= depart(hi):
-                break
-            lo -= pad + 0.1 * t
-            hi += pad + 0.1 * t
-        xi = brentq(depart, lo, hi, xtol=1e-14)
-        vals[i] = float(v0(xi))
+    lo = x_arr - t - 1e-9
+    hi = x_arr + 1e-9
+    for _ in range(64):
+        mid = lo + 0.5 * (hi - lo)  # lo + hi overflows for |x| near 1e308
+        right = mid + t * gaussian_pulse(mid) >= x_arr
+        lo = np.where(right, lo, mid)
+        hi = np.where(right, mid, hi)
+    vals = gaussian_pulse(lo + 0.5 * (hi - lo))
     return vals if np.ndim(x) else float(vals[0])
 
 
-def characteristics_l2_error(mesh: Mesh1D, v: np.ndarray, t: float, v0=gaussian_pulse) -> float:
+def characteristics_l2_error(mesh: Mesh1D, v: np.ndarray, t: float) -> float:
     """L2 distance between the FE expansion and the exact smooth solution."""
     xq = fem1d.quadrature_points(mesh)
-    exact = characteristics_solution(t, xq.ravel(), v0).reshape(xq.shape)
+    exact = characteristics_solution(t, xq.ravel()).reshape(xq.shape)
     vq = fem1d.quadrature_values(mesh, v)
     return float(np.sqrt(fem1d.integrate(mesh, (vq - exact) ** 2)))
 
@@ -267,27 +227,23 @@ FRONT_SLOPE_FACTOR = 10.0
 FRONT_EDGE_OFFSET = 15.0
 
 
-def detect_front(mesh: Mesh1D, v: np.ndarray, nu: float,
-                 slope_threshold: float | None = None):
+def detect_front(mesh: Mesh1D, v: np.ndarray, nu: float):
     """Locate the viscous front and sample its edge states.
 
     The slope of v_d is sampled on a grid 10x finer than the P2 nodes;
     the front sits at the most negative sample.  Edge states are read
     off at 15 nu / max|v| to either side, where the inner layer has
     flattened out.  Raises NoFrontError when the steepest slope does
-    not exceed ``slope_threshold`` (default: ten times the steepest
-    initial slope of the pulse data).
+    not exceed FRONT_SLOPE_FACTOR times the pulse's steepest initial
+    slope.
     """
-    if slope_threshold is None:
-        slope_threshold = FRONT_SLOPE_FACTOR * float(
-            np.max(np.abs(gaussian_pulse_slope(np.linspace(0.0, 1.0, 2001))))
-        )
+    threshold = FRONT_SLOPE_FACTOR * PULSE_MAX_SLOPE
     xs = np.linspace(0.0, 1.0, 20 * mesh.n_elems + 1)
     slopes = fem1d.evaluate_derivative(mesh, v, xs)
     k = int(np.argmin(slopes))
-    if -float(slopes[k]) <= slope_threshold:
+    if -float(slopes[k]) <= threshold:
         raise NoFrontError(
-            f"steepest slope {-float(slopes[k]):.3g} below threshold {slope_threshold:.3g}"
+            f"steepest slope {-float(slopes[k]):.3g} below threshold {threshold:.3g}"
         )
     x_front = float(xs[k])
     vmax = float(np.max(np.abs(fem1d.embed_interior(mesh, v))))
@@ -299,32 +255,30 @@ def detect_front(mesh: Mesh1D, v: np.ndarray, nu: float,
     return x_front, v_l, v_r
 
 
-def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
-    """Post-shock front trajectory predicted by characteristics.
+def shock_curve(t_values):
+    """Post-shock front trajectory of the pulse predicted by characteristics.
 
-    Integrates the Rankine-Hugoniot speed along the fitted shock path of
-    a single-hump profile: at each time the left/right states are the
-    characteristics branches meeting the front from either side.
+    Integrates the Rankine-Hugoniot speed along the shock path from its
+    birth at (t*, xi* + t* v0(xi*)): at each time the left/right states
+    are the characteristics branches meeting the front from either side.
     Returns arrays (x_s, v_l, v_r, dH_rate) sampled at ``t_values``,
-    which must start at or after the shock time and increase.
+    which must be finite, non-decreasing and start at or after t*.
     """
-    from scipy.optimize import brentq, minimize_scalar
-    v0_slope = _slope(v0, v0_slope)
-    t_star = shock_formation_time(v0, v0_slope)
+    # scipy.optimize, a quarter of the package import, loads on first use here
+    from scipy.optimize import brentq
+    t_star = shock_formation_time()
     t_values = np.asarray(t_values, dtype=float)
+    if not (t_values.ndim == 1 and t_values.size
+            and np.all(np.abs(t_values) < np.inf) and np.all(np.diff(t_values) >= 0.0)):
+        raise ValueError(f"need finite, non-decreasing times, got {t_values}")
     if t_values[0] < t_star - 1e-12:
         raise ValueError(f"shock path starts at t* = {t_star:.6g}")
-    xs = np.linspace(0.0, 1.0, 2001)
-    xi_star = float(xs[np.argmin(np.asarray(v0_slope(xs)))])
-    res = minimize_scalar(lambda x: float(v0_slope(x)),
-                          bounds=(xi_star - 1e-3, xi_star + 1e-3),
-                          method="bounded", options={"xatol": 1e-12})
-    xi_star = float(res.x)
+    xi_star = PULSE_STEEPEST_POINT
 
     def fold_bounds(t):
         # foot points where the characteristic map loses monotonicity
         def crit(xi):
-            return 1.0 + t * float(v0_slope(xi))
+            return 1.0 + t * float(gaussian_pulse_slope(xi))
 
         if crit(xi_star) >= 0.0:
             return xi_star, xi_star
@@ -336,13 +290,13 @@ def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
         lo, hi = fold_bounds(t)
 
         def depart(xi):
-            return xi + t * float(v0(xi)) - x
+            return xi + t * float(gaussian_pulse(xi)) - x
 
         xi_l = brentq(depart, lo - 2.0 - t, lo, xtol=1e-14)
         xi_r = brentq(depart, hi, hi + 2.0 + t, xtol=1e-14)
-        return float(v0(xi_l)), float(v0(xi_r))
+        return float(gaussian_pulse(xi_l)), float(gaussian_pulse(xi_r))
 
-    x_now = xi_star + t_star * float(v0(xi_star))
+    x_now = xi_star + t_star * float(gaussian_pulse(xi_star))
     t_now = t_star
     out_x = np.empty_like(t_values)
     out_l = np.empty_like(t_values)
@@ -355,7 +309,7 @@ def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
             if t_now > t_star:
                 vl, vr = edge_states(t_now, x_now)
             else:
-                vl = vr = float(v0(xi_star))
+                vl = vr = float(gaussian_pulse(xi_star))
             x_mid = x_now + 0.5 * dt * rankine_hugoniot_speed(vl, vr)
             vl_m, vr_m = edge_states(t_now + 0.5 * dt, x_mid)
             x_now += dt * rankine_hugoniot_speed(vl_m, vr_m)
@@ -363,7 +317,7 @@ def shock_curve(t_values, v0=gaussian_pulse, v0_slope=None):
         if t_now > t_star:
             vl, vr = edge_states(t_now, x_now)
         else:
-            vl = vr = float(v0(xi_star))
+            vl = vr = float(gaussian_pulse(xi_star))
         out_x[i], out_l[i], out_r[i] = x_now, vl, vr
         out_q[i] = shock_dissipation(vl, vr)[1]
     return out_x, out_l, out_r, out_q

@@ -195,14 +195,15 @@ def format_table_text(result: SweepResult) -> str:
     return "\n".join(lines)
 
 
-TABLE_FORMATS = {"csv": format_table_csv, "text": format_table_text}
+TABLE_FORMATS = ("csv", "text")
 
 
 def emit_table(result: SweepResult, format: str = "csv") -> str:
-    """Serialize a sweep result in one of the TABLE_FORMATS."""
+    """Serialize a sweep result with ``format_table_<format>``, for a format in TABLE_FORMATS."""
     if format not in TABLE_FORMATS:
         raise ValueError(f"unknown table format: {format!r}")
-    return TABLE_FORMATS[format](result)
+    # looked up at call time, so a writer replaced on the module (traced, patched) is the one run
+    return globals()[f"format_table_{format}"](result)
 
 
 def format_ledger_csv(ledger: PowerLedger) -> str:

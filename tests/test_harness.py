@@ -68,6 +68,18 @@ def test_emit_table_dispatch():
         sweep.emit_table(result, "json")
 
 
+@pytest.mark.parametrize("format", sweep.TABLE_FORMATS)
+def test_emit_table_calls_the_module_writer(monkeypatch, format):
+    # a tracer wraps the writers by replacing module attributes, so
+    # emit_table must reach them through the module
+    calls = []
+    monkeypatch.setattr(sweep, f"format_table_{format}",
+                        lambda result: calls.append(result) or "recorded")
+    result = fabricated_result()
+    assert sweep.emit_table(result, format) == "recorded"
+    assert calls == [result]
+
+
 def test_result_cell_lookup():
     result = fabricated_result()
     assert result.cell(0.5, 1.0, 0.1).n_steps == 12

@@ -1,7 +1,7 @@
-"""Digest of the files and messages of six reference command-line runs.
+"""Digest of the files and messages of reference command-line runs.
 
 Runs, from the ``src/`` of the checkout this script sits in and inside a
-temporary directory,
+temporary directory, six runs and sweeps,
 
     phburgers sweep --hs 0.01               (table and 12 ledgers)
     phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
@@ -12,10 +12,17 @@ temporary directory,
     phburgers run --h 0.05 --beta 0 --t-final 0.2 --snapshots 4
                                             (inviscid: snapshots with zero e_r)
 
-each into its own output directory there; ``run.cfg`` is written into
-the temporary directory first.  Prints one ``sha256  relative/path``
-line per file, sorted, then each command's exit code and stderr with
-the temporary directory replaced by ``<out>``.  Two checkouts produced
+each into its own output directory there (``run.cfg`` is written into
+the temporary directory first), and four oracle queries,
+
+    phburgers oracle --shock-time
+    phburgers oracle --solution 0.1 0.7
+    phburgers oracle --solution 0.16 0.72
+    phburgers oracle --shock-dissipation 1 0
+
+Prints one ``sha256  relative/path`` line per file, sorted, then each
+command's exit code, stdout and stderr with the temporary directory
+replaced by ``<out>``.  Two checkouts produced
 the same bytes and said the same thing exactly when their listings are
 equal:
 
@@ -50,6 +57,10 @@ COMMANDS = (
                        "--t-final", "0.05", "--snapshots", "3"]),
     ("run_inviscid", ["run", "--h", "0.05", "--beta", "0", "--t-final", "0.2",
                       "--snapshots", "4"]),
+    ("oracle_shock_time", ["oracle", "--shock-time"]),
+    ("oracle_solution", ["oracle", "--solution", "0.1", "0.7"]),
+    ("oracle_solution_near_shock", ["oracle", "--solution", "0.16", "0.72"]),
+    ("oracle_shock_dissipation", ["oracle", "--shock-dissipation", "1", "0"]),
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -62,12 +73,13 @@ def main() -> int:
         Path(tmp, CONFIG_NAME).write_text(CONFIG_TEXT)
         messages = []
         for name, args in COMMANDS:
-            proc = subprocess.run(
-                [sys.executable, "-c", MAIN, *args, "--out-dir", os.path.join(tmp, name)],
-                cwd=tmp, env=env, capture_output=True, text=True)
+            out_dir = ["--out-dir", os.path.join(tmp, name)] if args[0] in ("run", "sweep") else []
+            proc = subprocess.run([sys.executable, "-c", MAIN, *args, *out_dir],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
             messages.append(f"{name}: exit {proc.returncode}")
-            messages += [f"{name}: {line.replace(tmp, '<out>')}"
-                         for line in proc.stderr.splitlines()]
+            for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+                messages += [f"{name}: {stream}: {line.replace(tmp, '<out>')}"
+                             for line in text.splitlines()]
         root = Path(tmp)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
