@@ -106,11 +106,11 @@ class PowerLedger:
         return len(self._rows)
 
     def append(self, t, dt, newton_iters, H, E, qH, qE) -> None:
-        """Add one accepted step; times must strictly increase."""
+        """Add one accepted step; times must be finite and strictly increase."""
+        t_prev = self._rows[-1][0] if self._rows else -math.inf
+        if not t_prev < t < math.inf:
+            raise ValueError(f"ledger time {t} is not finite or does not increase past {t_prev}")
         if self._rows:
-            t_prev = self._rows[-1][0]
-            if t <= t_prev:
-                raise ValueError(f"ledger time {t} does not increase past {t_prev}")
             half = 0.5 * (t - t_prev)
             QH = self._rows[-1][7] + half * (self._rows[-1][5] + qH)
             QE = self._rows[-1][8] + half * (self._rows[-1][6] + qE)
@@ -162,6 +162,16 @@ def shock_formation_time() -> float:
     return math.exp(0.5) / 10.0
 
 
+def _bisect(g, lo, hi):
+    """Elementwise root of g by 64 halvings of [lo, hi] (either order), g(lo) < 0 <= g(hi)."""
+    for _ in range(64):
+        mid = lo + 0.5 * (hi - lo)  # lo + hi overflows for |x| near 1e308
+        right = g(mid) >= 0.0
+        lo = np.where(right, lo, mid)
+        hi = np.where(right, mid, hi)
+    return lo + 0.5 * (hi - lo)
+
+
 @np.errstate(over="ignore")
 def characteristics_solution(t: float, x):
     """Exact smooth solution v(t, x) of the pulse before the shock time.
@@ -179,18 +189,9 @@ def characteristics_solution(t: float, x):
     t_star = shock_formation_time()
     if t >= t_star:
         raise ValueError(f"characteristics cross at t* = {t_star:.6g}; got t = {t}")
-    if t == 0.0:
-        vals = gaussian_pulse(x_arr)
-        return vals if np.ndim(x) else float(vals[0])
-
-    lo = x_arr - t - 1e-9
-    hi = x_arr + 1e-9
-    for _ in range(64):
-        mid = lo + 0.5 * (hi - lo)  # lo + hi overflows for |x| near 1e308
-        right = mid + t * gaussian_pulse(mid) >= x_arr
-        lo = np.where(right, lo, mid)
-        hi = np.where(right, mid, hi)
-    vals = gaussian_pulse(lo + 0.5 * (hi - lo))
+    xi = x_arr if t == 0.0 else _bisect(
+        lambda xi: xi + t * gaussian_pulse(xi) - x_arr, x_arr - t - 1e-9, x_arr + 1e-9)
+    vals = gaussian_pulse(xi)
     return vals if np.ndim(x) else float(vals[0])
 
 
@@ -256,68 +257,45 @@ def detect_front(mesh: Mesh1D, v: np.ndarray, nu: float):
 
 
 def shock_curve(t_values):
-    """Post-shock front trajectory of the pulse predicted by characteristics.
+    """Post-shock front trajectory of the pulse, by the equal-area rule.
 
-    Integrates the Rankine-Hugoniot speed along the shock path from its
-    birth at (t*, xi* + t* v0(xi*)): at each time the left/right states
-    are the characteristics branches meeting the front from either side.
-    Returns arrays (x_s, v_l, v_r, dH_rate) sampled at ``t_values``,
-    which must be finite, non-decreasing and start at or after t*.
+    The front x_s is where the Hopf-Lax values of the two outer branches
+    of characteristics tie.  Their feet xi_l < xi_r then satisfy
+    int_{xi_l}^{xi_r} v0 = t (v_l^2 - v_r^2) / 2, and the difference of the
+    two sides rises with x at the rate v_l - v_r > 0, so one bisection
+    over the fold region finds x_s for all times at once.  Returns arrays
+    (x_s, v_l, v_r, dH_rate) sampled at ``t_values``, which must be
+    finite, non-decreasing and start at or after t*.
     """
-    # scipy.optimize, a quarter of the package import, loads on first use here
-    from scipy.optimize import brentq
+    from scipy.special import erf  # loads on first use, off the package import
     t_star = shock_formation_time()
-    t_values = np.asarray(t_values, dtype=float)
-    if not (t_values.ndim == 1 and t_values.size
-            and np.all(np.abs(t_values) < np.inf) and np.all(np.diff(t_values) >= 0.0)):
-        raise ValueError(f"need finite, non-decreasing times, got {t_values}")
-    if t_values[0] < t_star - 1e-12:
+    t = np.asarray(t_values, dtype=float)
+    if not (t.ndim == 1 and t.size
+            and np.all(np.abs(t) < np.inf) and np.all(np.diff(t) >= 0.0)):
+        raise ValueError(f"need finite, non-decreasing times, got {t}")
+    if t[0] < t_star - 1e-12:
         raise ValueError(f"shock path starts at t* = {t_star:.6g}")
-    xi_star = PULSE_STEEPEST_POINT
 
-    def fold_bounds(t):
-        # foot points where the characteristic map loses monotonicity
-        def crit(xi):
-            return 1.0 + t * float(gaussian_pulse_slope(xi))
+    def depart(xi):
+        return xi + t * gaussian_pulse(xi)
 
-        if crit(xi_star) >= 0.0:
-            return xi_star, xi_star
-        lo = brentq(crit, xi_star - 0.5, xi_star, xtol=1e-13)
-        hi = brentq(crit, xi_star, xi_star + 0.5, xtol=1e-13)
-        return lo, hi
+    # depart falls between the fold bounds, either side of xi*, and rises outside them
+    fold_l, fold_r = _bisect(lambda xi: 1.0 + t * gaussian_pulse_slope(xi),
+                             PULSE_STEEPEST_POINT, np.array([[0.5], [1.5]]))
 
-    def edge_states(t, x):
-        lo, hi = fold_bounds(t)
+    def feet(x):  # on the rising branches: xi_l in [x - t, fold_l], xi_r in [fold_r, x]
+        return _bisect(lambda xi: depart(xi) - x, np.stack([x - t, fold_r]),
+                       np.stack([fold_l, x]))
 
-        def depart(xi):
-            return xi + t * float(gaussian_pulse(xi)) - x
+    def excess(x):
+        xi = feet(x)  # int v0 = sqrt(pi/200) erf(sqrt(50) (xi - 1/2))
+        (v_l, v_r), (a_l, a_r) = gaussian_pulse(xi), erf(math.sqrt(50.0) * (xi - 0.5))
+        return 0.5 * t * (v_l * v_l - v_r * v_r) - math.sqrt(math.pi / 200.0) * (a_r - a_l)
 
-        xi_l = brentq(depart, lo - 2.0 - t, lo, xtol=1e-14)
-        xi_r = brentq(depart, hi, hi + 2.0 + t, xtol=1e-14)
-        return float(gaussian_pulse(xi_l)), float(gaussian_pulse(xi_r))
-
-    x_now = xi_star + t_star * float(gaussian_pulse(xi_star))
-    t_now = t_star
-    out_x = np.empty_like(t_values)
-    out_l = np.empty_like(t_values)
-    out_r = np.empty_like(t_values)
-    out_q = np.empty_like(t_values)
-    for i, t_target in enumerate(t_values):
-        # explicit midpoint march of x_s' = (v_l + v_r)/2 up to the target
-        while t_now < t_target - 1e-15:
-            dt = min(2e-4, t_target - t_now)
-            if t_now > t_star:
-                vl, vr = edge_states(t_now, x_now)
-            else:
-                vl = vr = float(gaussian_pulse(xi_star))
-            x_mid = x_now + 0.5 * dt * rankine_hugoniot_speed(vl, vr)
-            vl_m, vr_m = edge_states(t_now + 0.5 * dt, x_mid)
-            x_now += dt * rankine_hugoniot_speed(vl_m, vr_m)
-            t_now += dt
-        if t_now > t_star:
-            vl, vr = edge_states(t_now, x_now)
-        else:
-            vl = vr = float(gaussian_pulse(xi_star))
-        out_x[i], out_l[i], out_r[i] = x_now, vl, vr
-        out_q[i] = shock_dissipation(vl, vr)[1]
-    return out_x, out_l, out_r, out_q
+    x_s = _bisect(excess, depart(fold_r), depart(fold_l))
+    v_l, v_r = gaussian_pulse(feet(x_s))
+    # up to t* the birth point: depart(xi) - x ~ (xi - xi*)^3 would leave ~1e-5 in v
+    born = t <= t_star
+    v_star = gaussian_pulse(PULSE_STEEPEST_POINT)
+    x_s[born], v_l[born], v_r[born] = PULSE_STEEPEST_POINT + t_star * v_star, v_star, v_star
+    return x_s, v_l, v_r, shock_dissipation(v_l, v_r)[1]

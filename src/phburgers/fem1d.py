@@ -324,9 +324,12 @@ def _evaluate(mesh: Mesh1D, coeffs: np.ndarray, x, basis):
     """The expansion with reference shape functions ``basis``, at x in [0, 1].
 
     An array x, even of length 1, gives an array; a scalar x a scalar.
+    Points outside [0, 1], NaN included, are a ValueError.
     """
     full = embed_interior(mesh, coeffs)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
+        raise ValueError(f"evaluation points must lie in [0, 1], got {x}")
     elem = np.clip((xs / mesh.h).astype(int), 0, mesh.n_elems - 1)
     xi = xs / mesh.h - elem
     vals = np.einsum("pa,ap->p", full[mesh.cells[elem]], basis(xi))

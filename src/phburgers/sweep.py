@@ -156,6 +156,9 @@ def parse_table_csv(text: str) -> SweepResult:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise ValueError(f"unexpected sweep CSV header: {rows[0] if rows else 'empty'}")
+    for k, r in enumerate(rows[1:], start=1):
+        if len(r) != len(CSV_HEADER):
+            raise ValueError(f"sweep CSV row {k} has {len(r)} fields, not {len(CSV_HEADER)}: {r}")
     cells = [SweepCell(float(r[0]), float(r[1]), float(r[2]), float(r[3]),
                        float(r[4]), int(r[5]), r[6]) for r in rows[1:]]
     return SweepResult(cells=tuple(cells))

@@ -1,5 +1,7 @@
 """Energy functionals, ledger arithmetic, and the analytic shock oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,15 @@ from phburgers import diagnostics, fem1d, phsystem
 PULSE_HAMILTONIAN = 0.024120041818608922
 PULSE_KINETIC_ENERGY = 0.08862269254513955
 PULSE_SHOCK_TIME = 0.16487212707001281
+
+# (x_s, v_l, v_r, dH_rate) of shock_curve([0.2, 0.25, 0.32, 0.4]) as computed by
+# an explicit midpoint march of the Rankine-Hugoniot speed with dt = 2e-4
+MARCHED_SHOCK_PATH = np.array([
+    (0.7206805380423325, 0.9593434614988282, 0.18527335356546118, -0.022120236714806233),
+    (0.7483128550571265, 0.9998633901259635, 0.06947840153896111, -0.03588338313548757),
+    (0.7842741902536315, 0.968025350936499, 0.021297264163428677, -0.03497860457809401),
+    (0.8223790615198365, 0.9127640234524933, 0.005978373128392518, -0.028542790700004567),
+])
 
 
 def make_ops(n_elems):
@@ -101,6 +112,16 @@ def test_ledger_times_must_increase():
     led.append(0.0, 0.0, 0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         led.append(0.0, 0.1, 1, 1.0, 1.0, 0.0, 0.0)
+    # a NaN time would turn QH, QE and bal NaN and let the next time go backwards
+    for t in (float("nan"), float("inf"), -0.05):
+        with pytest.raises(ValueError, match="is not finite or does not increase"):
+            led.append(t, 0.1, 1, 1.0, 1.0, 0.0, 0.0)
+    led.append(0.05, 0.05, 1, 1.0, 1.0, 0.0, 0.0)
+    assert led.column("t").tolist() == [0.0, 0.05]
+    assert np.all(np.isfinite(led.column("bal")))
+    for t in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="is not finite"):
+            diagnostics.PowerLedger().append(t, 0.0, 0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_empty_ledger_raises():
@@ -266,6 +287,25 @@ def test_shock_curve_consistency():
     speed_rh = diagnostics.rankine_hugoniot_speed(
         0.5 * (v_l[1] + v_l[2]), 0.5 * (v_r[1] + v_r[2]))
     assert speed_fd == pytest.approx(speed_rh, rel=2e-2)
+
+
+def test_shock_curve_satisfies_feet_and_equal_area():
+    ts = np.array([0.17, 0.2, 0.25, 0.32, 0.4, 1.0])
+    x_s, v_l, v_r, _ = diagnostics.shock_curve(ts)
+    # each edge state is carried to the front along its characteristic
+    for v in (v_l, v_r):
+        np.testing.assert_allclose(diagnostics.gaussian_pulse(x_s - ts * v), v,
+                                   rtol=0.0, atol=1e-13)
+    # the area under v0 between the feet equals t (v_l^2 - v_r^2) / 2
+    for t, x, vl, vr in zip(ts, x_s, v_l, v_r):
+        area = math.sqrt(math.pi / 200.0) * (math.erf(math.sqrt(50.0) * (x - t * vr - 0.5))
+                                             - math.erf(math.sqrt(50.0) * (x - t * vl - 0.5)))
+        assert abs(area - 0.5 * t * (vl * vl - vr * vr)) <= 1e-13
+
+
+def test_shock_curve_matches_marched_path():
+    out = np.array(diagnostics.shock_curve([0.2, 0.25, 0.32, 0.4])).T
+    np.testing.assert_allclose(out, MARCHED_SHOCK_PATH, rtol=0.0, atol=1e-6)
 
 
 def test_shock_curve_rejects_pre_shock_start():

@@ -113,6 +113,17 @@ def test_evaluate_keeps_array_input_an_array(evaluate):
     np.testing.assert_array_equal(evaluate(mesh, coeffs, [0.3, 0.7])[:1], one)
 
 
+@pytest.mark.parametrize("evaluate", [fem1d.evaluate, fem1d.evaluate_derivative])
+def test_evaluate_rejects_points_outside_the_interval(evaluate):
+    # the end elements' shape functions would extrapolate, to -14.0 at 1.5 and -0.5
+    mesh = fem1d.build_mesh(4)
+    coeffs = np.ones(7)
+    for x in (1.5, -0.5, float("nan"), float("inf"), [0.5, 1.0 + 1e-12], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            evaluate(mesh, coeffs, x)
+    assert np.all(np.isfinite(evaluate(mesh, coeffs, [0.0, 1.0])))
+
+
 def test_embed_and_restrict_roundtrip():
     mesh = fem1d.build_mesh(5)
     rng = np.random.default_rng(3)

@@ -50,6 +50,11 @@ def test_table_csv_round_trip_is_exact():
 def test_parse_rejects_foreign_header():
     with pytest.raises(ValueError):
         sweep.parse_table_csv("a,b,c\n1,2,3\n")
+    # rows must have one field per column: none may be missing or dropped
+    header = ",".join(sweep.CSV_HEADER)
+    for row in ("1,0,0.01,0.002,0.4,12", "1,0,0.01,0.002,0.4,12,completed,extra", ""):
+        with pytest.raises(ValueError, match="sweep CSV row 2 has"):
+            sweep.parse_table_csv(f"{header}\n1,1,0.01,0.001,0.4,9,completed\n{row}\n")
 
 
 def test_text_table_layout():
@@ -564,12 +569,14 @@ def test_cli_verify_passes(capsys):
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
-    # only the shock oracles need scipy.optimize; they import it on first use
-    code = "import sys, phburgers.cli; print('scipy.optimize' in sys.modules)"
+    # no phburgers call needs scipy.optimize, the shock path included
+    code = ("import sys, phburgers.cli; loaded = 'scipy.optimize' in sys.modules; "
+            "phburgers.diagnostics.shock_curve([0.2]); "
+            "print(loaded, 'scipy.optimize' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(phburgers.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 def test_package_exports_resolve():

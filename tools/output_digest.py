@@ -20,6 +20,9 @@ the temporary directory first), and four oracle queries,
     phburgers oracle --solution 0.16 0.72
     phburgers oracle --shock-dissipation 1 0
 
+and ``demos/03_energy_budget.py``, whose sharp-front theory line is the
+one output of ``diagnostics.shock_curve`` a command prints.
+
 Prints one ``sha256  relative/path`` line per file, sorted, then each
 command's exit code, stdout and stderr with the temporary directory
 replaced by ``<out>``.  Two checkouts produced
@@ -64,6 +67,7 @@ COMMANDS = (
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
+DEMO = ("demo_energy_budget", [str(SRC.parent / "demos" / "03_energy_budget.py")])
 
 
 def main() -> int:
@@ -71,10 +75,12 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, CONFIG_NAME).write_text(CONFIG_TEXT)
+        runs = [(name, ["-c", MAIN, *args] + (["--out-dir", os.path.join(tmp, name)]
+                                              if args[0] in ("run", "sweep") else []))
+                for name, args in COMMANDS]
         messages = []
-        for name, args in COMMANDS:
-            out_dir = ["--out-dir", os.path.join(tmp, name)] if args[0] in ("run", "sweep") else []
-            proc = subprocess.run([sys.executable, "-c", MAIN, *args, *out_dir],
+        for name, argv in [*runs, DEMO]:
+            proc = subprocess.run([sys.executable, *argv],
                                   cwd=tmp, env=env, capture_output=True, text=True)
             messages.append(f"{name}: exit {proc.returncode}")
             for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
