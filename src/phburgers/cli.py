@@ -116,7 +116,8 @@ def _build_parser() -> _Parser:
                          help="comma list (default %(default)s)")
     p_sweep.add_argument("--t-final", dest="t_final", type=float, default=SweepGrid.t_final,
                          help="end time (default %(default)s)")
-    p_sweep.add_argument("--workers", type=int, help="worker processes (default: cores)")
+    p_sweep.add_argument("--workers", type=int,
+                         help="worker processes (default: CPUs this process may use)")
     p_sweep.add_argument("--format", choices=TABLE_FORMATS, default="csv",
                          help="table format (default %(default)s)")
 

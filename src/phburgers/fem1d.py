@@ -23,7 +23,8 @@ where ``w_d`` and ``v_d`` are the interior expansions of the coefficient
 vectors.  All integrals use a fixed 5-point Gauss-Legendre rule per
 element, exact for polynomials of degree <= 9; every integrand above has
 degree <= 6, so quadrature introduces no consistency error.  M, D and W
-share one fixed interior sparsity pattern, built once per mesh.
+share one interior sparsity pattern, stated in closed form: interior row
+k couples columns k-2..k+2 at a vertex and k-1..k+1 at a midpoint.
 """
 
 from __future__ import annotations
@@ -95,9 +96,25 @@ class Mesh1D:
         return self.interior_to_global.size
 
     @functools.cached_property
-    def _interior_pattern(self) -> _ScatterPattern:
-        """Fixed CSR pattern of every interior matrix (M, D, W), built on first use."""
-        return _scatter_pattern(self)
+    def _interior_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, source)`` of every interior matrix (M, D, W).
+
+        ``band[k, 2 + d]`` marks entry (k, k + d): a vertex row (k odd) couples
+        columns k-2..k+2, a midpoint row k-1..k+1.  Data entry j is entry
+        ``source[j]`` of the flattened (n_elems, 9) element blocks.
+        """
+        k, d = np.ogrid[:self.n_interior, -2:3]
+        band = (0 <= k + d) & (k + d < self.n_interior) & ((k % 2 == 1) | (abs(d) <= 1))
+        ids = np.arange(9 * self.n_elems).reshape(-1, 9)
+        source = np.zeros(band.shape, dtype=np.intp)
+        source[0::2, 1:4] = ids[:, 3:6]   # midpoint: its element's row 1
+        source[1::2, :3] = ids[:-1, 6:]   # vertex: left element's row 2
+        source[1::2, 3:] = ids[1:, 1:3]   # vertex, right of the diagonal: right element's row 0
+        indptr = np.r_[0, np.cumsum(band.sum(axis=1))].astype(np.int32)
+        pattern = (indptr, (k + d)[band].astype(np.int32), source[band])
+        for a in pattern:
+            a.setflags(write=False)
+        return pattern
 
 
 def build_mesh(n_elems: int) -> Mesh1D:
@@ -179,7 +196,7 @@ def assemble_operators(mesh: Mesh1D) -> FeOperators:
     # so the structural identities hold to the last bit on every mesh.
     conv_loc = 0.5 * (conv_q - conv_q.T) + np.diag([-0.5, 0.0, 0.5])
     mass, convection = (
-        _interior_matrix(mesh, _interior_data(mesh, np.tile(local.ravel(), mesh.n_elems)))
+        _interior_matrix(mesh, _interior_data(mesh, np.tile(local.ravel(), (mesh.n_elems, 1))))
         for local in (mass_loc, conv_loc))
     return FeOperators(mesh=mesh, mass=mass, convection=convection,
                        mass_banded=_banded_lower(mass, 2))
@@ -220,60 +237,21 @@ def integrate(mesh: Mesh1D, values: np.ndarray) -> float:
     return float(np.einsum("eq,q->", values, _QW) * mesh.h)
 
 
-@dataclass(frozen=True)
-class _ScatterPattern:
-    """CSR pattern of an interior matrix assembled from 3x3 element blocks.
-
-    Entry k of the data array is ``local[first[k]]``, where ``local`` is
-    the flattened (n_elems, 9) array of element blocks; entries
-    ``shared`` (the vertex diagonals, the only entries two elements
-    share) add ``local[second]``.  A two-term sum does not depend on its
-    order, so the result is bitwise the COO-to-CSR sum of the blocks.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    first: np.ndarray
-    shared: np.ndarray
-    second: np.ndarray
-
-
-def _scatter_pattern(mesh: Mesh1D) -> _ScatterPattern:
-    """Pattern of the interior rows and columns of the element blocks' sum."""
-    n = mesh.n_interior
-    rank = np.full(mesh.n_nodes, -1)
-    rank[mesh.interior_to_global] = np.arange(n)
-    rows = rank[np.repeat(mesh.cells, 3, axis=1).ravel()]
-    cols = rank[np.tile(mesh.cells, (1, 3)).ravel()]
-    src = np.flatnonzero((rows >= 0) & (cols >= 0))
-    key = rows[src] * n + cols[src]
-    order = np.argsort(key, kind="stable")
-    src, key = src[order], key[order]
-    new = np.r_[True, key[1:] != key[:-1]]
-    key = key[new]
-    # let scipy pick the index dtype once, so no later matrix converts it
-    template = scipy.sparse.csr_matrix(
-        (np.zeros(key.size), key % n, np.searchsorted(key, np.arange(n + 1) * n)),
-        shape=(n, n))
-    arrays = (template.indptr, template.indices, src[new],
-              np.cumsum(new)[~new] - 1, src[~new])
-    for a in arrays:
-        a.setflags(write=False)
-    return _ScatterPattern(*arrays)
-
-
 def _interior_data(mesh: Mesh1D, local: np.ndarray) -> np.ndarray:
-    """Data array, on the interior pattern, of the flattened (n_elems, 9) element blocks' sum."""
-    p = mesh._interior_pattern
-    data = local[p.first]
-    data[p.shared] += local[p.second]
+    """Data array, on the interior pattern, of the (n_elems, 9) element blocks' sum.
+
+    The blocks overlap only on the vertex diagonals: the left element's entry
+    plus the right one's, bitwise the COO-to-CSR sum.
+    """
+    data = local.ravel()[mesh._interior_pattern[2]]
+    data[3::8] += local[1:, 0]  # the vertex diagonals: every 8th entry from entry 3
     return data
 
 
 def _interior_matrix(mesh: Mesh1D, data: np.ndarray) -> scipy.sparse.csr_matrix:
     """Interior CSR matrix with the data array ``data`` on the interior pattern."""
-    p = mesh._interior_pattern
-    return scipy.sparse.csr_matrix((data, p.indices, p.indptr), shape=(mesh.n_interior,) * 2)
+    indptr, indices, _ = mesh._interior_pattern
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(mesh.n_interior,) * 2)
 
 
 def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray) -> np.ndarray:
@@ -289,7 +267,7 @@ def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray) -> np.ndarray:
     for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
         local += terms * wq[:, q, None]
     local *= mesh.h
-    return _interior_data(mesh, local.ravel())
+    return _interior_data(mesh, local)
 
 
 def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr_matrix:

@@ -173,7 +173,7 @@ def _newton_pattern(n_elems: int, viscous: bool):
     interior pattern, which every block shares.
     """
     mesh = fem1d.build_mesh(n_elems)
-    nnz = mesh._interior_pattern.indices.size
+    nnz = mesh._interior_pattern[1].size
     rows = _newton_layout(*[mesh] * 7, viscous)  # any non-None value marks a block
     start = 1  # ids start at 1 so that none is a zero
     for row in rows:

@@ -126,7 +126,10 @@ def make_state(
 
     Runs the constitutive solves so the invariants M e = N(v) and, in
     viscous mode, M f_r = D e, W(v) e_r = nu M f_r hold on the result.
+    Raises ValueError unless 0 <= nu < inf.
     """
+    if not 0.0 <= nu < np.inf:  # NaN fails too
+        raise ValueError(f"nu must be finite and non-negative, got {nu}")
     v = np.asarray(v, dtype=float)
     e = project_costate(ops, v)
     if nu > 0.0:

@@ -116,11 +116,13 @@ def run_sweep(grid: SweepGrid, workers: int | None = None,
 
     ``workers`` > 1 distributes cells over at most that many processes,
     and never more than there are cells; 1 (or a 1-cell grid) runs
-    inline.  When ``out_dir`` is given, each cell writes its ledger CSV
-    there under a unique name.  Raises ValueError for ``workers`` < 1.
+    inline.  The default is the number of CPUs this process may use.
+    When ``out_dir`` is given, each cell writes its ledger CSV there
+    under a unique name.  Raises ValueError for ``workers`` < 1.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if out_dir is not None:

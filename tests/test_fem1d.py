@@ -151,13 +151,18 @@ def test_weighted_mass_is_symmetric_trilinear_form():
         assert val == pytest.approx(ref, rel=1e-13)
 
 
-@pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
+@pytest.mark.parametrize("n_elems", [1, 2, 3, 9, 100, 1000])
 def test_operators_are_bitwise_the_full_assembly(n_elems):
     mesh = fem1d.build_mesh(n_elems)
     ops = fem1d.assemble_operators(mesh)
     M, D, R = full_assembly_operators(mesh)
     assert_bitwise_equal(ops.mass, M)
     assert_bitwise_equal(ops.convection, D)
+    # the banded Cholesky reads M's diagonals 0, -1, -2, zero-padded at the end
+    dense, banded = M.toarray(), np.zeros((3, mesh.n_interior))
+    for k in range(3):
+        banded[k, : max(mesh.n_interior - k, 0)] = np.diagonal(dense, -k)
+    np.testing.assert_array_equal(ops.mass_banded.view(np.int64), banded.view(np.int64))
     # the paper's R is D^T bit for bit, and -D except for the signs of the
     # stored diagonal zeros: +0 in R, -0 in -D
     assert_bitwise_equal(R, D.T.tocsr())

@@ -181,6 +181,17 @@ def test_sweep_pool_is_capped_at_the_cell_count(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_default_workers_count_the_usable_cpus(monkeypatch):
+    # under a one-CPU mask a default sweep runs inline, whatever the machine has
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    grid = sweep.SweepGrid(alphas=(1.0,), betas=(0.0, 1.0), hs=(0.05,), t_final=0.01)
+    assert len(sweep.run_sweep(grid).cells) == 2
+    assert RecordingPool.sizes == []
+
+
 def test_sweep_rejects_fewer_than_one_worker(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])

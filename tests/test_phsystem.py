@@ -42,6 +42,13 @@ def test_make_state_inviscid_has_empty_ports():
     assert st.f_r.size == 0 and st.e_r.size == 0
 
 
+@pytest.mark.parametrize("nu", [-1e-2, float("nan"), float("inf")])
+def test_make_state_rejects_invalid_viscosity(nu):
+    ops = fem1d.assemble_operators(fem1d.build_mesh(4))
+    with pytest.raises(ValueError, match="nu must be finite and non-negative"):
+        phsystem.make_state(ops, np.ones(ops.mesh.n_interior), nu=nu)
+
+
 def test_inviscid_power_balance_is_zero():
     """e^T M (dv/dt) = e^T D e vanishes by skew-symmetry, state by state."""
     ops = fem1d.assemble_operators(fem1d.build_mesh(10))

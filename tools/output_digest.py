@@ -20,8 +20,9 @@ the temporary directory first), and four oracle queries,
     phburgers oracle --solution 0.16 0.72
     phburgers oracle --shock-dissipation 1 0
 
-and ``demos/03_energy_budget.py``, whose sharp-front theory line is the
-one output of ``diagnostics.shock_curve`` a command prints.
+and every demo under ``demos/``: 01 prints D's skew defect and max|D|
+from the assembled matrices, and 03's sharp-front theory line is the one
+output of ``diagnostics.shock_curve`` a command prints.
 
 Prints one ``sha256  relative/path`` line per file, sorted, then each
 command's exit code, stdout and stderr with the temporary directory
@@ -67,7 +68,9 @@ COMMANDS = (
 )
 
 MAIN = "import sys; from phburgers.cli import main; sys.exit(main(sys.argv[1:]))"
-DEMO = ("demo_energy_budget", [str(SRC.parent / "demos" / "03_energy_budget.py")])
+# each demo is named by its file name without the number: 03 is demo_energy_budget
+DEMOS = tuple(("demo_" + path.stem.split("_", 1)[1], [str(path)])
+              for path in sorted((SRC.parent / "demos").glob("*.py")))
 
 
 def main() -> int:
@@ -79,7 +82,7 @@ def main() -> int:
                                               if args[0] in ("run", "sweep") else []))
                 for name, args in COMMANDS]
         messages = []
-        for name, argv in [*runs, DEMO]:
+        for name, argv in [*runs, *DEMOS]:
             proc = subprocess.run([sys.executable, *argv],
                                   cwd=tmp, env=env, capture_output=True, text=True)
             messages.append(f"{name}: exit {proc.returncode}")
