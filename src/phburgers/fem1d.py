@@ -138,6 +138,8 @@ def elements_for_width(h: float) -> int:
     """Element count of the mesh of width ``h``; raises ValueError unless 1/h is integral."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"element width must be positive and finite, got {h}")
+    if not 1.0 / h < math.inf:
+        raise ValueError(f"element width {h} is too small: 1/h is not finite")
     n = round(1.0 / h)
     if n < 1 or abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"element width {h} does not divide the unit interval")
@@ -254,15 +256,19 @@ def _interior_matrix(mesh: Mesh1D, data: np.ndarray) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(mesh.n_interior,) * 2)
 
 
-def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray) -> np.ndarray:
+def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray, wq: np.ndarray | None = None
+                       ) -> np.ndarray:
     """Data array of W(w) (:func:`assemble_weighted_mass`) on the interior pattern.
 
-    The element sums run over the quadrature points in increasing order
-    from a zero start, bitwise what numpy's einsum("q,aq,bq,eq->eab")
-    gives: W(v) is nearly singular in the wall zones, where the step
-    controller's decisions turn on the last bits of the factored matrices.
+    ``wq``, if given, is ``quadrature_values(mesh, weight)``, computed once
+    by a caller that also needs it elsewhere.  The element sums run over
+    the quadrature points in increasing order from a zero start, bitwise
+    what numpy's einsum("q,aq,bq,eq->eab") gives: W(v) is nearly singular
+    in the wall zones, where the step controller's decisions turn on the
+    last bits of the factored matrices.
     """
-    wq = quadrature_values(mesh, weight)
+    if wq is None:
+        wq = quadrature_values(mesh, weight)
     local = np.zeros((mesh.n_elems, 9))
     for q, terms in enumerate(_WEIGHTED_MASS_TERMS):
         local += terms * wq[:, q, None]
@@ -279,14 +285,17 @@ def assemble_weighted_mass(mesh: Mesh1D, weight: np.ndarray) -> scipy.sparse.csr
     return _interior_matrix(mesh, weighted_mass_data(mesh, weight))
 
 
-def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray) -> np.ndarray:
+def assemble_quadratic_load(mesh: Mesh1D, v: np.ndarray, vq: np.ndarray | None = None
+                            ) -> np.ndarray:
     """Interior load vector N(v)[i] = int phi_i v_d^2 / 2 dx.
 
     The integrand has degree 6, within the exactness of the 5-point rule,
     so N is homogeneous of degree 2 to rounding: N(a v) = a^2 N(v).  Summed as
     in W, each vertex adding its left, then right share to zero, as np.add.at does.
+    ``vq``, if given, is ``quadrature_values(mesh, v)``, as in :func:`weighted_mass_data`.
     """
-    vq = quadrature_values(mesh, v)
+    if vq is None:
+        vq = quadrature_values(mesh, v)
     v2 = vq**2
     local = np.zeros((mesh.n_elems, 3))
     for q, terms in enumerate(_LOAD_TERMS):

@@ -88,6 +88,10 @@ class RunConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0.0 < self.dt0 < math.inf:
+            raise ValueError(f"dt0 = alpha * h must be positive and finite, got {self.dt0}")
+        if not self.nu < math.inf:
+            raise ValueError(f"nu = beta * h / alpha must be finite, got {self.nu}")
         if not 0.0 <= self.t_final < math.inf:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < math.inf:
@@ -127,23 +131,57 @@ def step_residual(ops: FeOperators, state_n: State, dt: float):
     or z = (v, e) in the inviscid case, with the rows of the module
     docstring; g_n is computed once, here.  Every evaluation is
     polynomial in z, so F stays finite where W(v) is singular.
+
+    An evaluation makes one quadrature pass over v, shared by N(v) and
+    W(v), and one sparse product: with x = (v - v_n, e, f_r, e_r), the
+    row blocks of B x are M (v - v_n), D e, D e_r, M e, M f_r and W(v) e_r,
+    or M (v - v_n), D e and M e when inviscid.  Each row of B keeps the
+    entries of its block's row in order, so every product is bitwise
+    the separate one.  W(v)'s slice of B's data is refilled per evaluation.
     """
     M, D, mesh = ops.mass, ops.convection, ops.mesh
     v_n, nu, n, viscous = state_n.v, state_n.nu, mesh.n_interior, state_n.viscous
     g_n = phsystem.structure_apply(ops, state_n)
-    W = M.copy() if viscous else None  # W(v) on M's pattern, refilled per evaluation
+    # the last viscous block is W(v): M's data until the first evaluation refills it
+    blocks, fields = (((M, D, D, M, M, M), (0, 1, 3, 1, 2, 3)) if viscous
+                      else ((M, D, M), (0, 1, 1)))
+    indptr, indices = _product_pattern(mesh.n_elems, fields)
+    B = scipy.sparse.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr),
+                                shape=(len(fields) * n, (4 if viscous else 2) * n))
+    W = B.data[5 * M.nnz:]  # empty when inviscid
 
     def residual(z):
-        v, e, f, r = z[:n], z[n:2 * n], z[2 * n:3 * n], z[3 * n:]
-        De = D @ e
-        rows = [M @ (v - v_n) - 0.5 * dt * ((De + D @ r if viscous else De) + g_n),
-                M @ e - fem1d.assemble_quadratic_load(mesh, v)]
+        v = z[:n]
+        vq = fem1d.quadrature_values(mesh, v)
+        load = fem1d.assemble_quadratic_load(mesh, v, vq=vq)
         if viscous:
-            Mf = M @ f
-            W.data = fem1d.weighted_mass_data(mesh, v)
-            rows += [Mf - De, W @ r - nu * Mf]
-        return np.concatenate(rows)
+            W[:] = fem1d.weighted_mass_data(mesh, v, wq=vq)
+        y = (B @ np.concatenate([v - v_n, z[n:]])).reshape(-1, n)
+        if not viscous:
+            Mv, De, Me = y
+            return np.concatenate([Mv - 0.5 * dt * (De + g_n), Me - load])
+        Mv, De, Dr, Me, Mf, Wr = y
+        return np.concatenate([Mv - 0.5 * dt * ((De + Dr) + g_n), Me - load, Mf - De,
+                               Wr - nu * Mf])
     return residual
+
+
+@functools.lru_cache(maxsize=None)
+def _product_pattern(n_elems: int, fields: tuple) -> tuple:
+    """CSR ``(indptr, indices)`` of step_residual's product matrix B.
+
+    Row block k is the interior pattern, which M, D and W share, with its
+    columns moved to field ``fields[k]`` of the stacked fields.
+    """
+    mesh = fem1d.build_mesh(n_elems)
+    indptr, indices, _ = mesh._interior_pattern
+    n, nnz = mesh.n_interior, indices.size
+    pattern = (np.r_[np.concatenate([indptr[:-1] + k * nnz for k in range(len(fields))]),
+                     len(fields) * nnz].astype(np.int32),
+               np.concatenate([indices + field * n for field in fields]).astype(np.int32))
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
 
 
 def _stacked_state(z: np.ndarray, nu: float, t: float) -> State:

@@ -1,12 +1,13 @@
 """Shared pytest wiring (an always-visible acceptance report section),
 the field samples, bitwise comparison and einsum kernel oracles the
 assembly guard tests share, the full-assembly oracle of M, D and the
-paper's R, and the dense co-state oracle of the projection tests."""
+paper's R, the op-by-op step residual, and the dense co-state oracle of
+the projection tests."""
 
 import numpy as np
 import scipy.sparse
 
-from phburgers import fem1d
+from phburgers import fem1d, phsystem
 
 _ac_lines = []
 
@@ -92,6 +93,28 @@ def einsum_quadratic_load(mesh, v):
     full = np.zeros(mesh.n_nodes)
     np.add.at(full, mesh.cells.ravel(), local.ravel())
     return full[mesh.interior_to_global]
+
+
+def op_by_op_residual(ops, state_n, dt, z):
+    """Reference step residual: each product its own scipy call, each kernel its own quadrature.
+
+    The rows of the integrator's module docstring, evaluated one operation
+    at a time: M (v - v_n), D e, D e_r, M e, M f_r and W(v) e_r as separate
+    products, and N(v) and W(v) each from their own quadrature values.
+    """
+    M, D, mesh = ops.mass, ops.convection, ops.mesh
+    g_n = phsystem.structure_apply(ops, state_n)
+    if not state_n.viscous:
+        v, e = np.split(z, 2)
+        return np.concatenate([M @ (v - state_n.v) - 0.5 * dt * (D @ e + g_n),
+                               M @ e - fem1d.assemble_quadratic_load(mesh, v)])
+    v, e, f, r = np.split(z, 4)
+    De, Mf = D @ e, M @ f
+    W = fem1d.assemble_weighted_mass(mesh, v)
+    return np.concatenate([M @ (v - state_n.v) - 0.5 * dt * ((De + D @ r) + g_n),
+                           M @ e - fem1d.assemble_quadratic_load(mesh, v),
+                           Mf - De,
+                           W @ r - state_n.nu * Mf])
 
 
 def dense_projection_oracle(n_elems, v):

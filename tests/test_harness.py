@@ -573,6 +573,21 @@ def test_cli_sweep_refuses_a_width_that_does_not_divide(built, capsys):
         "error: element width 0.3 does not divide the unit interval\n")
 
 
+@pytest.mark.parametrize("h, alpha, beta, message", [
+    ("1e-320", "1", "0", "element width 1e-320 is too small: 1/h is not finite"),
+    ("0.01", "5e-324", "0", "dt0 = alpha * h must be positive and finite, got 0.0"),
+    ("0.5", "1e-320", "1", "nu = beta * h / alpha must be finite, got inf"),
+])
+def test_cli_refuses_cells_with_unusable_derived_numbers(built, capsys, h, alpha, beta,
+                                                         message):
+    # a cell whose 1/h, dt0 or nu is not a usable number is a usage error, not a traceback
+    for argv in (["run", "--h", h, "--alpha", alpha, "--beta", beta],
+                 ["sweep", "--hs", h, "--alphas", alpha, "--betas", beta]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert built == []
+
+
 def test_cli_verify_passes(capsys):
     assert cli.main(["verify"]) == 0
     err = capsys.readouterr().err

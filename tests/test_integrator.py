@@ -8,7 +8,8 @@ import scipy.optimize
 import scipy.sparse
 
 from conftest import (FIELD_KINDS, assert_bitwise_equal, einsum_quadratic_load,
-                      einsum_weighted_mass, full_assembly_operators, sample_field)
+                      einsum_weighted_mass, full_assembly_operators, op_by_op_residual,
+                      sample_field)
 from phburgers import diagnostics, fem1d, integrator, phsystem
 
 
@@ -47,6 +48,9 @@ NAN, INF = float("nan"), float("inf")
     dict(h=0.1, fixed_dt=NAN),
     dict(h=0.1, fixed_dt=INF),
     dict(h=0.1, n_snapshots=-3),
+    dict(h=1e-320),  # 1/h overflows
+    dict(h=0.01, alpha=5e-324),  # dt0 underflows to zero
+    dict(h=0.5, alpha=1e-320, beta=1.0),  # nu overflows
 ])
 def test_config_rejects_bad_values(kwargs):
     # construction only: a NaN alpha that got through would never finish a run
@@ -253,6 +257,33 @@ def test_step_residual_is_bitwise_the_split_oracle(n_elems, nu, kind):
         F = integrator.step_residual(ops, state_n, 0.05)
         for z in (draw(), draw()):
             assert F(z).tobytes() == coupled_residual(ops, state_n, 0.05, z).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "negative", "subnormal", "huge",
+                                  "nan", "inf"])
+@pytest.mark.parametrize("nu", [0.0, 2e-2])
+@pytest.mark.parametrize("n_elems", [1, 2, 7, 100])
+def test_step_residual_is_bitwise_the_op_by_op_reference(n_elems, nu, kind):
+    # one fused product and one quadrature pass change no bit of any row;
+    # a NaN or inf entry goes into each field in turn, and NaN matches NaN
+    ops = make_ops(n_elems)
+    rng = np.random.default_rng(n_elems)
+    n, n_fields = ops.mesh.n_interior, 4 if nu > 0.0 else 2
+    state_n = integrator._stacked_state(rng.standard_normal(n_fields * n), nu, 0.0)
+    F = integrator.step_residual(ops, state_n, 0.05)
+    if kind in ("nan", "inf"):
+        base = rng.standard_normal(n_fields * n)
+        points = [base.copy() for _ in range(n_fields)]
+        for field, z in enumerate(points):
+            z[field * n + n // 2] = float(kind)
+    else:
+        points = [np.concatenate([sample_field(kind, rng, n) for _ in range(n_fields)])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z in points:
+            got, want = F(z), op_by_op_residual(ops, state_n, 0.05, z)
+            nan = np.isnan(want)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
 
 
 @pytest.mark.parametrize("nu", [0.0, 2e-2])

@@ -1,7 +1,7 @@
 """Digest of the files and messages of reference command-line runs.
 
 Runs, from the ``src/`` of the checkout this script sits in and inside a
-temporary directory, six runs and sweeps,
+temporary directory, seven runs and sweeps,
 
     phburgers sweep --hs 0.01               (table and 12 ledgers)
     phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
@@ -11,6 +11,8 @@ temporary directory, six runs and sweeps,
                                             (stops early: dt underflow, exit 3)
     phburgers run --h 0.05 --beta 0 --t-final 0.2 --snapshots 4
                                             (inviscid: snapshots with zero e_r)
+    phburgers run --h 0.01 --alpha 5e-324 --beta 0
+                                            (refused: dt0 underflows to 0, exit 1)
 
 each into its own output directory there (``run.cfg`` is written into
 the temporary directory first), and four oracle queries,
@@ -61,6 +63,7 @@ COMMANDS = (
                        "--t-final", "0.05", "--snapshots", "3"]),
     ("run_inviscid", ["run", "--h", "0.05", "--beta", "0", "--t-final", "0.2",
                       "--snapshots", "4"]),
+    ("run_zero_dt0", ["run", "--h", "0.01", "--alpha", "5e-324", "--beta", "0"]),
     ("oracle_shock_time", ["oracle", "--shock-time"]),
     ("oracle_solution", ["oracle", "--solution", "0.1", "0.7"]),
     ("oracle_solution_near_shock", ["oracle", "--solution", "0.16", "0.72"]),
