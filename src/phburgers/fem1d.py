@@ -23,8 +23,9 @@ where ``w_d`` and ``v_d`` are the interior expansions of the coefficient
 vectors.  All integrals use a fixed 5-point Gauss-Legendre rule per
 element, exact for polynomials of degree <= 9; every integrand above has
 degree <= 6, so quadrature introduces no consistency error.  M, D and W
-share one interior sparsity pattern, stated in closed form: interior row
-k couples columns k-2..k+2 at a vertex and k-1..k+1 at a midpoint.
+share one interior sparsity pattern, stated in closed form on the (N, 5)
+band (``Mesh1D._interior_band``): that band layout is the one source of
+every interior and stacked pattern.
 """
 
 from __future__ import annotations
@@ -96,22 +97,34 @@ class Mesh1D:
         return self.interior_to_global.size
 
     @functools.cached_property
+    def _interior_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(mask, column, position)`` of the interior pattern on the (N, 5) band.
+
+        ``mask[k, 2 + d]`` marks entry (k, k + d): a vertex row (k odd) couples
+        columns k-2..k+2, a midpoint row k-1..k+1.  ``column[k, 2 + d]`` is
+        k + d, and ``position`` is a marked entry's index in CSR data order.
+        """
+        k, d = np.ogrid[:self.n_interior, -2:3]
+        mask = (0 <= k + d) & (k + d < self.n_interior) & ((k % 2 == 1) | (abs(d) <= 1))
+        band = (mask, k + d, np.cumsum(mask).reshape(mask.shape) - 1)
+        for a in band:
+            a.setflags(write=False)
+        return band
+
+    @functools.cached_property
     def _interior_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices, source)`` of every interior matrix (M, D, W).
 
-        ``band[k, 2 + d]`` marks entry (k, k + d): a vertex row (k odd) couples
-        columns k-2..k+2, a midpoint row k-1..k+1.  Data entry j is entry
-        ``source[j]`` of the flattened (n_elems, 9) element blocks.
+        Data entry j is entry ``source[j]`` of the flattened (n_elems, 9) element blocks.
         """
-        k, d = np.ogrid[:self.n_interior, -2:3]
-        band = (0 <= k + d) & (k + d < self.n_interior) & ((k % 2 == 1) | (abs(d) <= 1))
+        mask, column, _ = self._interior_band
         ids = np.arange(9 * self.n_elems).reshape(-1, 9)
-        source = np.zeros(band.shape, dtype=np.intp)
+        source = np.zeros(mask.shape, dtype=np.intp)
         source[0::2, 1:4] = ids[:, 3:6]   # midpoint: its element's row 1
         source[1::2, :3] = ids[:-1, 6:]   # vertex: left element's row 2
         source[1::2, 3:] = ids[1:, 1:3]   # vertex, right of the diagonal: right element's row 0
-        indptr = np.r_[0, np.cumsum(band.sum(axis=1))].astype(np.int32)
-        pattern = (indptr, (k + d)[band].astype(np.int32), source[band])
+        indptr = np.r_[0, np.cumsum(mask.sum(axis=1))].astype(np.int32)
+        pattern = (indptr, column[mask].astype(np.int32), source[mask])
         for a in pattern:
             a.setflags(write=False)
         return pattern
@@ -134,13 +147,21 @@ def build_mesh(n_elems: int) -> Mesh1D:
     )
 
 
+# 50 times the finest study grid (h = 5e-4).  Two viscous steps peak at 79 MiB RSS at
+# h = 1e-3, 174 MiB at 1e-4 and 856 MiB at 1e-5 (about 8 KB per element), and the int32
+# indices of the largest stacked pattern (about 80 entries per element) stay far in range.
+MAX_ELEMENTS = 100_000
+
+
 def elements_for_width(h: float) -> int:
-    """Element count of the mesh of width ``h``; raises ValueError unless 1/h is integral."""
+    """Element count 1/h of width ``h``'s mesh; ValueError unless integral and <= MAX_ELEMENTS."""
     if not 0.0 < h < math.inf:
         raise ValueError(f"element width must be positive and finite, got {h}")
     if not 1.0 / h < math.inf:
         raise ValueError(f"element width {h} is too small: 1/h is not finite")
     n = round(1.0 / h)
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"element width {h} is too small: more than {MAX_ELEMENTS} elements")
     if n < 1 or abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"element width {h} does not divide the unit interval")
     return n
@@ -254,6 +275,33 @@ def _interior_matrix(mesh: Mesh1D, data: np.ndarray) -> scipy.sparse.csr_matrix:
     """Interior CSR matrix with the data array ``data`` on the interior pattern."""
     indptr, indices, _ = mesh._interior_pattern
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(mesh.n_interior,) * 2)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_pattern(n_elems: int, layout: tuple, transposed: bool = False) -> tuple:
+    """Read-only CSR ``(indptr, indices, source)`` of interior blocks stacked by ``layout``.
+
+    Block row r holds blocks in block columns ``layout[r]``, numbered in that
+    order row after row; data entry j is entry ``source[j]`` of the blocks'
+    concatenated CSR data.  ``transposed`` puts entry (k + d, k) of each block
+    at band slot (k, 2 + d): the pattern is symmetric, so the arrays are then
+    the CSC arrays of the matrix whose block column r holds ``layout[r]``'s blocks.
+    """
+    mask, column, position = build_mesh(n_elems)._interior_band
+    n, nnz = mask.shape[0], int(mask.sum())
+    if transposed:
+        position = position[np.clip(column, 0, n - 1), 4 - np.arange(5)]
+    # axes (block row, band row, block, band slot); a -1 pads each block row to the widest
+    width = max(map(len, layout))
+    cols = np.array([c + (-1,) * (width - len(c)) for c in layout])[:, None, :, None]
+    ids = np.cumsum(cols >= 0).reshape(cols.shape) - 1
+    entry = (cols >= 0) & mask[:, None, :]
+    pattern = (np.r_[0, np.cumsum(entry.sum(axis=(2, 3)))].astype(np.int32),
+               (column[:, None, :] + n * cols)[entry].astype(np.int32),
+               (position[:, None, :] + nnz * ids)[entry])
+    for a in pattern:
+        a.setflags(write=False)
+    return pattern
 
 
 def weighted_mass_data(mesh: Mesh1D, weight: np.ndarray, wq: np.ndarray | None = None

@@ -40,7 +40,6 @@ newton_solve).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -143,11 +142,11 @@ def step_residual(ops: FeOperators, state_n: State, dt: float):
     v_n, nu, n, viscous = state_n.v, state_n.nu, mesh.n_interior, state_n.viscous
     g_n = phsystem.structure_apply(ops, state_n)
     # the last viscous block is W(v): M's data until the first evaluation refills it
-    blocks, fields = (((M, D, D, M, M, M), (0, 1, 3, 1, 2, 3)) if viscous
-                      else ((M, D, M), (0, 1, 1)))
-    indptr, indices = _product_pattern(mesh.n_elems, fields)
+    blocks, layout = (((M, D, D, M, M, M), ((0,), (1,), (3,), (1,), (2,), (3,))) if viscous
+                      else ((M, D, M), ((0,), (1,), (1,))))
+    indptr, indices, _ = fem1d._block_pattern(mesh.n_elems, layout)
     B = scipy.sparse.csr_matrix((np.concatenate([b.data for b in blocks]), indices, indptr),
-                                shape=(len(fields) * n, (4 if viscous else 2) * n))
+                                shape=(len(layout) * n, (4 if viscous else 2) * n))
     W = B.data[5 * M.nnz:]  # empty when inviscid
 
     def residual(z):
@@ -166,24 +165,6 @@ def step_residual(ops: FeOperators, state_n: State, dt: float):
     return residual
 
 
-@functools.lru_cache(maxsize=None)
-def _product_pattern(n_elems: int, fields: tuple) -> tuple:
-    """CSR ``(indptr, indices)`` of step_residual's product matrix B.
-
-    Row block k is the interior pattern, which M, D and W share, with its
-    columns moved to field ``fields[k]`` of the stacked fields.
-    """
-    mesh = fem1d.build_mesh(n_elems)
-    indptr, indices, _ = mesh._interior_pattern
-    n, nnz = mesh.n_interior, indices.size
-    pattern = (np.r_[np.concatenate([indptr[:-1] + k * nnz for k in range(len(fields))]),
-                     len(fields) * nnz].astype(np.int32),
-               np.concatenate([indices + field * n for field in fields]).astype(np.int32))
-    for a in pattern:
-        a.setflags(write=False)
-    return pattern
-
-
 def _stacked_state(z: np.ndarray, nu: float, t: float) -> State:
     """The State whose fields are the stacked fields z of step_residual."""
     n = z.size // (4 if nu > 0.0 else 2)
@@ -191,57 +172,27 @@ def _stacked_state(z: np.ndarray, nu: float, t: float) -> State:
     return State(t=t, v=v, e=e, f_r=f, e_r=r, nu=nu)
 
 
-def _newton_layout(m, dh, minus_d, minus_wv, wr, m_nu, wv, viscous: bool) -> list:
-    """Block rows of the module docstring's Newton matrix; its leading 2x2 block if inviscid."""
-    rows = [[m, dh, None, dh],
-            [minus_wv, m, None, None],
-            [None, minus_d, m, None],
-            [wr, None, m_nu, wv]]
-    return rows if viscous else [row[:2] for row in rows[:2]]
-
-
-@functools.lru_cache(maxsize=None)
-def _newton_pattern(n_elems: int, viscous: bool):
-    """CSC pattern of the Newton matrix and, per entry, its source.
-
-    Returns ``(indptr, indices, source)``: entry k of the matrix is entry
-    ``source[k]`` of the concatenated data arrays of the blocks, taken in
-    row-major order.  Built once per mesh and mode, by one
-    ``scipy.sparse.bmat`` call on blocks that hold running ids on the
-    interior pattern, which every block shares.
-    """
-    mesh = fem1d.build_mesh(n_elems)
-    nnz = mesh._interior_pattern[1].size
-    rows = _newton_layout(*[mesh] * 7, viscous)  # any non-None value marks a block
-    start = 1  # ids start at 1 so that none is a zero
-    for row in rows:
-        for j, block in enumerate(row):
-            if block is not None:
-                row[j] = fem1d._interior_matrix(mesh, np.arange(start, start + nnz, dtype=float))
-                start += nnz
-    A = scipy.sparse.bmat(rows, format="csc")
-    pattern = (A.indptr, A.indices, A.data.astype(np.intp) - 1)
-    for a in pattern:
-        a.setflags(write=False)
-    return pattern
-
-
 def _newton_matrix(ops: FeOperators, trial: State, dt: float) -> scipy.sparse.csc_matrix:
     """Sparse block system whose first row eliminates to dF/dv.
 
+    The blocks of the module docstring's matrix are listed by block column,
+    with the block rows they stand in; its leading 2x2 block if inviscid.
     Only the data array is computed here, scaled the way scipy scales a
-    sparse matrix by a scalar, so the result is bitwise the matrix that
-    ``scipy.sparse.bmat`` builds from the scaled blocks.
+    sparse matrix by a scalar, so the result is bitwise the block matrix
+    that scipy.sparse stacks from the scaled blocks.
     """
     M, D = ops.mass.data, ops.convection.data
     Wv = fem1d.weighted_mass_data(ops.mesh, trial.v)
-    Wr = fem1d.weighted_mass_data(ops.mesh, trial.e_r) if trial.viscous else None
-    rows = _newton_layout(M, D * (-0.5 * dt), -D, -Wv, Wr, M * (-trial.nu), Wv,
-                          trial.viscous)
-    data = np.concatenate([block for row in rows for block in row if block is not None])
-    indptr, indices, source = _newton_pattern(ops.mesh.n_elems, trial.viscous)
-    n = indptr.size - 1
-    return scipy.sparse.csc_matrix((data[source], indices, indptr), shape=(n, n))
+    dh = D * (-0.5 * dt)
+    if trial.viscous:
+        Wr = fem1d.weighted_mass_data(ops.mesh, trial.e_r)
+        layout = ((0, 1, 3), (0, 1, 2), (2, 3), (0, 3))
+        blocks = (M, -Wv, Wr, dh, M, -D, M, M * (-trial.nu), dh, Wv)
+    else:
+        layout, blocks = ((0, 1), (0, 1)), (M, -Wv, dh, M)
+    indptr, indices, source = fem1d._block_pattern(ops.mesh.n_elems, layout, transposed=True)
+    return scipy.sparse.csc_matrix((np.concatenate(blocks)[source], indices, indptr),
+                                   shape=(indptr.size - 1,) * 2)
 
 
 def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, int]:

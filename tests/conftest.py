@@ -1,8 +1,8 @@
 """Shared pytest wiring (an always-visible acceptance report section),
 the field samples, bitwise comparison and einsum kernel oracles the
 assembly guard tests share, the full-assembly oracle of M, D and the
-paper's R, the op-by-op step residual, and the dense co-state oracle of
-the projection tests."""
+paper's R, the bmat stack of block patterns, the op-by-op step residual,
+and the dense co-state oracle of the projection tests."""
 
 import numpy as np
 import scipy.sparse
@@ -93,6 +93,28 @@ def einsum_quadratic_load(mesh, v):
     full = np.zeros(mesh.n_nodes)
     np.add.at(full, mesh.cells.ravel(), local.ravel())
     return full[mesh.interior_to_global]
+
+
+def bmat_block_pattern(n_elems, layout, transposed=False):
+    """Reference stacked pattern: blocks of running ids on the interior pattern, stacked by bmat.
+
+    Block row r holds blocks in block columns ``layout[r]``, or, if
+    ``transposed``, block column r holds blocks in block rows ``layout[r]``,
+    read in CSC.  Returns ``(indptr, indices, source)``: entry j holds id
+    ``source[j]`` + 1, counted through the blocks in ``layout`` order.
+    """
+    mesh = fem1d.build_mesh(n_elems)
+    nnz = mesh._interior_pattern[1].size
+    grid = [[None] * (1 + max(max(cols) for cols in layout)) for _ in layout]
+    start = 1  # ids start at 1 so that none is a zero
+    for row, cols in zip(grid, layout):
+        for c in cols:
+            row[c] = fem1d._interior_matrix(mesh, np.arange(start, start + nnz, dtype=float))
+            start += nnz
+    if transposed:
+        grid = [list(col) for col in zip(*grid)]
+    A = scipy.sparse.bmat(grid, format="csc" if transposed else "csr")
+    return A.indptr, A.indices, A.data.astype(np.intp) - 1
 
 
 def op_by_op_residual(ops, state_n, dt, z):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import (FIELD_KINDS, assert_bitwise_equal, coo_interior, einsum_quadratic_load,
-                      einsum_weighted_mass, full_assembly_operators, sample_field)
+from conftest import (FIELD_KINDS, assert_bitwise_equal, bmat_block_pattern, coo_interior,
+                      einsum_quadratic_load, einsum_weighted_mass, full_assembly_operators,
+                      sample_field)
 from phburgers import fem1d
 
 # Local 3x3 blocks on one element of width h, frozen from hand calculus
@@ -44,6 +45,8 @@ def test_mesh_for_width_rejects_non_divisor():
     with pytest.raises(ValueError):
         fem1d.mesh_for_width(0.3)
     assert fem1d.mesh_for_width(0.25).n_elems == 4
+    # the finest width allowed, counted without building its mesh
+    assert fem1d.elements_for_width(1e-5) == fem1d.MAX_ELEMENTS == 100_000
 
 
 def test_build_mesh_rejects_nonpositive():
@@ -173,6 +176,22 @@ def test_operators_are_bitwise_the_full_assembly(n_elems):
     assert np.all(minus_d.data[diagonal] == 0.0) and np.all(np.signbit(minus_d.data[diagonal]))
     np.testing.assert_array_equal(R.data[~diagonal].view(np.int64),
                                   minus_d.data[~diagonal].view(np.int64))
+
+
+@pytest.mark.parametrize("layout, transposed", [
+    (((0,), (1,), (3,), (1,), (2,), (3,)), False),   # step_residual's product, viscous
+    (((0,), (1,), (1,)), False),                     # and inviscid
+    (((0, 1, 3), (0, 1, 2), (2, 3), (0, 3)), True),  # the Newton matrix by block column
+    (((0, 1), (0, 1)), True),                        # and its inviscid leading block
+])
+@pytest.mark.parametrize("n_elems", [1, 2, 3, 9, 100, 1000])
+def test_block_pattern_is_the_bmat_stack_of_ids(n_elems, layout, transposed):
+    pattern = fem1d._block_pattern(n_elems, layout, transposed)
+    reference = bmat_block_pattern(n_elems, layout, transposed)
+    assert len(pattern) == len(reference) == 3
+    for got, want in zip(pattern, reference):
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
 
 
 @pytest.mark.parametrize("kind", FIELD_KINDS)

@@ -575,12 +575,15 @@ def test_cli_sweep_refuses_a_width_that_does_not_divide(built, capsys):
 
 @pytest.mark.parametrize("h, alpha, beta, message", [
     ("1e-320", "1", "0", "element width 1e-320 is too small: 1/h is not finite"),
+    ("1e-300", "1", "0", "element width 1e-300 is too small: more than 100000 elements"),
+    ("1e-9", "1", "1", "element width 1e-09 is too small: more than 100000 elements"),
     ("0.01", "5e-324", "0", "dt0 = alpha * h must be positive and finite, got 0.0"),
     ("0.5", "1e-320", "1", "nu = beta * h / alpha must be finite, got inf"),
 ])
 def test_cli_refuses_cells_with_unusable_derived_numbers(built, capsys, h, alpha, beta,
                                                          message):
-    # a cell whose 1/h, dt0 or nu is not a usable number is a usage error, not a traceback
+    # a cell whose 1/h, dt0 or nu is not a usable number, or whose mesh has more elements
+    # than the machine is meant to hold, is a usage error, not a traceback
     for argv in (["run", "--h", h, "--alpha", alpha, "--beta", beta],
                  ["sweep", "--hs", h, "--alphas", alpha, "--betas", beta]):
         assert cli.main(argv) == 1
