@@ -16,7 +16,6 @@ from .fem1d import (
     assemble_quadratic_load,
     assemble_weighted_mass,
     build_mesh,
-    mesh_for_width,
 )
 from .phsystem import (
     State,
@@ -55,7 +54,6 @@ __all__ = [
     "assemble_quadratic_load",
     "assemble_weighted_mass",
     "build_mesh",
-    "mesh_for_width",
     "State",
     "make_state",
     "project_costate",

@@ -104,7 +104,8 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--t-final", dest="t_final", type=float, default=RunConfig.t_final,
                        help="end time (default %(default)s)")
     p_run.add_argument("--snapshots", type=int, default=RunConfig.n_snapshots,
-                       help="snapshot count (default %(default)s)")
+                       help="snapshot count, at least 2: the initial and final states"
+                            " and any between (default %(default)s)")
 
     p_sweep = sub.add_parser("sweep", help="run the (alpha, beta, h) study")
     add_common(p_sweep)

@@ -76,16 +76,14 @@ class Mesh1D:
     """Uniform P2 mesh of (0, 1).
 
     ``nodes`` holds all vertex and midpoint coordinates in increasing
-    order; ``interior_to_global[k]`` maps interior rank k = 0..N-1 to the
-    global node index of the k-th interior basis function; ``cells`` holds
-    the read-only global node triplets (left, mid, right) per element,
-    shape (n_elems, 3).
+    order; the N interior basis functions belong to ``nodes[1:-1]``, in
+    order; ``cells`` holds the read-only global node triplets (left, mid,
+    right) per element, shape (n_elems, 3).
     """
 
     n_elems: int
     h: float
     nodes: np.ndarray
-    interior_to_global: np.ndarray
     cells: np.ndarray
 
     @property
@@ -94,7 +92,7 @@ class Mesh1D:
 
     @property
     def n_interior(self) -> int:
-        return self.interior_to_global.size
+        return self.nodes.size - 2
 
     @functools.cached_property
     def _interior_band(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,13 +136,7 @@ def build_mesh(n_elems: int) -> Mesh1D:
     e = np.arange(n_elems)
     cells = np.column_stack((2 * e, 2 * e + 1, 2 * e + 2))
     cells.setflags(write=False)
-    return Mesh1D(
-        n_elems=n_elems,
-        h=1.0 / n_elems,
-        nodes=nodes,
-        interior_to_global=np.arange(1, 2 * n_elems),
-        cells=cells,
-    )
+    return Mesh1D(n_elems=n_elems, h=1.0 / n_elems, nodes=nodes, cells=cells)
 
 
 # 50 times the finest study grid (h = 5e-4).  Two viscous steps peak at 79 MiB RSS at
@@ -165,11 +157,6 @@ def elements_for_width(h: float) -> int:
     if n < 1 or abs(n * h - 1.0) > 1e-9:
         raise ValueError(f"element width {h} does not divide the unit interval")
     return n
-
-
-def mesh_for_width(h: float) -> Mesh1D:
-    """Build the mesh whose element width is ``h``; 1/h must be integral."""
-    return build_mesh(elements_for_width(h))
 
 
 @dataclass(frozen=True)
@@ -233,7 +220,7 @@ def embed_interior(mesh: Mesh1D, coeffs: np.ndarray) -> np.ndarray:
             f"expected {mesh.n_interior} interior coefficients, got shape {coeffs.shape}"
         )
     full = np.zeros(mesh.n_nodes)
-    full[mesh.interior_to_global] = coeffs
+    full[1:-1] = coeffs
     return full
 
 
@@ -388,4 +375,4 @@ def interpolate(mesh: Mesh1D, profile) -> np.ndarray:
     expansion; for the pulse data used in the experiments they are below
     every tolerance in play (~4e-6).
     """
-    return np.asarray(profile(mesh.nodes[mesh.interior_to_global]), dtype=float)
+    return np.asarray(profile(mesh.nodes[1:-1]), dtype=float)

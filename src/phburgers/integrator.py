@@ -95,8 +95,9 @@ class RunConfig:
             raise ValueError(f"t_final must be nonnegative and finite, got {self.t_final}")
         if self.fixed_dt is not None and not 0.0 < self.fixed_dt < math.inf:
             raise ValueError(f"fixed_dt must be positive and finite, got {self.fixed_dt}")
-        if self.n_snapshots < 0:
-            raise ValueError(f"n_snapshots must be nonnegative, got {self.n_snapshots}")
+        if self.n_snapshots < 2:
+            raise ValueError("n_snapshots counts the initial and final states and must be"
+                             f" at least 2, got {self.n_snapshots}")
 
     @property
     def mesh_elems(self) -> int:
@@ -222,9 +223,11 @@ def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, in
     if not np.isfinite(res):
         raise StepFailure("newton_divergence")
     tol = NEWTON_TOL * max(res, float(np.linalg.norm(ops.mass @ state_n.v)), 1e-300)
-    for iters in range(NEWTON_MAX_ITER):
+    for iters in range(NEWTON_MAX_ITER + 1):
         if res <= tol:
             return _stacked_state(z, state_n.nu, t), iters
+        if iters == NEWTON_MAX_ITER:
+            break
         A = _newton_matrix(ops, _stacked_state(z, state_n.nu, t), dt)
         try:
             lu = scipy.sparse.linalg.splu(A)
@@ -234,20 +237,16 @@ def newton_solve(ops: FeOperators, state_n: State, dt: float) -> tuple[State, in
         if not np.all(np.isfinite(delta)):
             raise StepFailure("newton_divergence", iters + 1)
         lam = 1.0
-        accepted = False
         for _ in range(30):
-            F_cand = residual(z + lam * delta)
+            z_cand = z + lam * delta
+            F_cand = residual(z_cand)
             res_cand = float(np.linalg.norm(F_cand))
             if np.isfinite(res_cand) and res_cand <= (1.0 - 1e-4 * lam) * res:
-                z = z + lam * delta
-                F, res = F_cand, res_cand
-                accepted = True
+                z, F, res = z_cand, F_cand, res_cand
                 break
             lam *= 0.5
-        if not accepted:
+        else:
             raise StepFailure("newton_divergence", iters + 1)
-    if res <= tol:
-        return _stacked_state(z, state_n.nu, t), NEWTON_MAX_ITER
     raise StepFailure("newton_divergence", NEWTON_MAX_ITER)
 
 
@@ -298,10 +297,7 @@ def run_simulation(config: RunConfig, profile=diagnostics.gaussian_pulse) -> Run
     ledger = PowerLedger()
     ledger.record(mesh, state, 0.0, 0)
     snapshots = [state]
-    if config.n_snapshots > 1 and config.t_final > 0.0:
-        targets = np.linspace(0.0, config.t_final, config.n_snapshots)[1:]
-    else:
-        targets = np.empty(0)
+    targets = np.linspace(0.0, config.t_final, config.n_snapshots)[1:]
     next_target = 0
 
     dt = config.fixed_dt or config.dt0

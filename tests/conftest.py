@@ -62,7 +62,7 @@ def coo_interior(mesh, local):
     cols = np.tile(cells, (1, 3)).ravel()
     n = mesh.n_nodes
     full = scipy.sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    idx = mesh.interior_to_global
+    idx = np.arange(1, n - 1)
     return full[np.ix_(idx, idx)].tocsr()
 
 
@@ -92,7 +92,7 @@ def einsum_quadratic_load(mesh, v):
     local = 0.5 * mesh.h * np.einsum("q,aq,eq->ea", fem1d._QW, fem1d._PHI, vq**2)
     full = np.zeros(mesh.n_nodes)
     np.add.at(full, mesh.cells.ravel(), local.ravel())
-    return full[mesh.interior_to_global]
+    return full[1:-1]
 
 
 def bmat_block_pattern(n_elems, layout, transposed=False):

@@ -6,7 +6,7 @@ import pytest
 from conftest import (FIELD_KINDS, assert_bitwise_equal, bmat_block_pattern, coo_interior,
                       einsum_quadratic_load, einsum_weighted_mass, full_assembly_operators,
                       sample_field)
-from phburgers import fem1d
+from phburgers import diagnostics, fem1d
 
 # Local 3x3 blocks on one element of width h, frozen from hand calculus
 # with the P2 shapes (1-x)(1-2x), 4x(1-x), x(2x-1) on the unit element:
@@ -43,8 +43,8 @@ def test_mesh_layout():
 
 def test_mesh_for_width_rejects_non_divisor():
     with pytest.raises(ValueError):
-        fem1d.mesh_for_width(0.3)
-    assert fem1d.mesh_for_width(0.25).n_elems == 4
+        fem1d.elements_for_width(0.3)
+    assert fem1d.build_mesh(fem1d.elements_for_width(0.25)).n_elems == 4
     # the finest width allowed, counted without building its mesh
     assert fem1d.elements_for_width(1e-5) == fem1d.MAX_ELEMENTS == 100_000
 
@@ -127,13 +127,19 @@ def test_evaluate_rejects_points_outside_the_interval(evaluate):
     assert np.all(np.isfinite(evaluate(mesh, coeffs, [0.0, 1.0])))
 
 
-def test_embed_and_restrict_roundtrip():
-    mesh = fem1d.build_mesh(5)
+@pytest.mark.parametrize("n_elems", [1, 2, 9, 100])
+def test_embed_and_restrict_roundtrip(n_elems):
+    # the interior unknowns are exactly nodes[1:-1], in order
+    mesh = fem1d.build_mesh(n_elems)
+    assert mesh.n_interior == 2 * n_elems - 1
     rng = np.random.default_rng(3)
     v = rng.standard_normal(mesh.n_interior)
     full = fem1d.embed_interior(mesh, v)
-    assert full[0] == full[-1] == 0.0
-    np.testing.assert_array_equal(full[mesh.interior_to_global], v)
+    np.testing.assert_array_equal(full.view(np.int64), np.pad(v, 1).view(np.int64))
+    # sampled on the fancy-indexed copy, so a ufunc path that depends on the view would show
+    expected = diagnostics.gaussian_pulse(mesh.nodes[np.arange(1, 2 * n_elems)])
+    actual = fem1d.interpolate(mesh, diagnostics.gaussian_pulse)
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
     with pytest.raises(ValueError):
         fem1d.embed_interior(mesh, v[:-1])
 

@@ -423,7 +423,8 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert cli.main(["run", "--h", "0.1", "--t-final", "0.05", "--snapshots", "-3",
                      "--out-dir", str(out)]) == 1
-    assert "n_snapshots must be nonnegative" in capsys.readouterr().err
+    assert "n_snapshots counts the initial and final states and must be at least 2, got -3" \
+        in capsys.readouterr().err
     assert cli.main(["sweep", "--alphas", "1.0000001,1.0000002", "--betas", "0",
                      "--hs", "0.5", "--t-final", "0.01", "--workers", "1",
                      "--out-dir", str(out)]) == 1

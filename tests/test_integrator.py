@@ -48,6 +48,8 @@ NAN, INF = float("nan"), float("inf")
     dict(h=0.1, fixed_dt=NAN),
     dict(h=0.1, fixed_dt=INF),
     dict(h=0.1, n_snapshots=-3),
+    dict(h=0.1, n_snapshots=0),  # the initial and final states are always kept
+    dict(h=0.1, n_snapshots=1),
     dict(h=1e-320),  # 1/h overflows
     dict(h=0.01, alpha=5e-324),  # dt0 underflows to zero
     dict(h=0.5, alpha=1e-320, beta=1.0),  # nu overflows
@@ -169,6 +171,23 @@ def test_newton_runs_out_of_iterations(monkeypatch):
     with pytest.raises(phsystem.StepFailure) as exc:
         integrator.newton_solve(ops, st, 0.05)
     assert exc.value.reason == "newton_divergence"
+
+
+def test_newton_converges_on_its_last_allowed_iteration(monkeypatch):
+    # the first viscous step of RunConfig(h=1/8, beta=1) takes k iterations:
+    # a limit of k still accepts it, bitwise, and k - 1 fails carrying k - 1
+    ops = make_ops(8)
+    st = pulse_state(ops, nu=0.125)
+    out, k = integrator.newton_solve(ops, st, 0.125)
+    assert k >= 2
+    monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", k)
+    last, iters = integrator.newton_solve(ops, st, 0.125)
+    assert iters == k
+    np.testing.assert_array_equal(last.v.view(np.int64), out.v.view(np.int64))
+    monkeypatch.setattr(integrator, "NEWTON_MAX_ITER", k - 1)
+    with pytest.raises(phsystem.StepFailure) as exc:
+        integrator.newton_solve(ops, st, 0.125)
+    assert (exc.value.reason, exc.value.newton_iters) == ("newton_divergence", k - 1)
 
 
 # --------------------------------------------------------- _newton_matrix
@@ -476,7 +495,7 @@ def test_snapshot_times_cover_run():
     times = [s.t for s in run.snapshots]
     assert times[0] == 0.0 and times[-1] == cfg.t_final
     assert all(b > a for a, b in zip(times, times[1:]))
-    assert len(times) <= cfg.n_snapshots + 1
+    assert len(times) <= cfg.n_snapshots
 
 
 def test_inviscid_fixed_dt_is_second_order():

@@ -1,7 +1,7 @@
 """Digest of the files and messages of reference command-line runs.
 
 Runs, from the ``src/`` of the checkout this script sits in and inside a
-temporary directory, eight runs and sweeps,
+temporary directory, nine runs and sweeps,
 
     phburgers sweep --hs 0.01               (table and 12 ledgers)
     phburgers run --h 1e-3 --beta 1         (ledger and 50 snapshots)
@@ -14,6 +14,7 @@ temporary directory, eight runs and sweeps,
     phburgers run --h 0.01 --alpha 5e-324 --beta 0
                                             (refused: dt0 underflows to 0, exit 1)
     phburgers run --h 1e-9                  (refused: over 100,000 elements, exit 1)
+    phburgers run --h 0.1 --snapshots 1     (refused: fewer than 2 snapshots, exit 1)
 
 each into its own output directory there (``run.cfg`` is written into
 the temporary directory first), and four oracle queries,
@@ -66,6 +67,7 @@ COMMANDS = (
                       "--snapshots", "4"]),
     ("run_zero_dt0", ["run", "--h", "0.01", "--alpha", "5e-324", "--beta", "0"]),
     ("run_too_many_elements", ["run", "--h", "1e-9"]),
+    ("run_one_snapshot", ["run", "--h", "0.1", "--snapshots", "1"]),
     ("oracle_shock_time", ["oracle", "--shock-time"]),
     ("oracle_solution", ["oracle", "--solution", "0.1", "0.7"]),
     ("oracle_solution_near_shock", ["oracle", "--solution", "0.16", "0.72"]),
